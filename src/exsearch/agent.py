@@ -23,8 +23,11 @@ from .trajectory import Passage, Step, Trajectory
 _RANK_POSITION_RE = re.compile(r"\[(\d+)\]")
 
 
-class Policy(Protocol):
-    """What the episode loop needs from a decision-maker."""
+class Episode(Protocol):
+    """One episode's decision-maker, owning whatever state the episode needs.
+
+    It may also offer ``rank_directive`` for the document-selection action.
+    """
 
     def propose_subquery(self, state: PolicyState,
                          rng: np.random.Generator) -> PolicyDecision: ...
@@ -35,6 +38,13 @@ class Policy(Protocol):
 
     def answer(self, question: str, trajectory: Trajectory,
                rng: np.random.Generator) -> PolicyDecision: ...
+
+
+class Policy(Protocol):
+    """What the episode loop needs from a decision-maker: a fresh episode
+    per question, so one policy can drive many episodes at once."""
+
+    def start(self, question: str) -> Episode: ...
 
     def score_answer(self, question: str, trajectory: Trajectory, y: str) -> float: ...
 
@@ -111,23 +121,20 @@ def parse_rank_directive(directive: str, passage_ids: Sequence[str], m: int) -> 
     return chosen[:m]
 
 
-def rank_documents(policy, sub_query: str, documents: Sequence[Passage],
+def rank_documents(episode, sub_query: str, documents: Sequence[Passage],
                    m: int) -> list[str]:
-    """Ask the policy for a ranking over ``documents`` and resolve it to ids."""
+    """Ask the episode for a ranking over ``documents`` and resolve it to ids."""
     ids = [doc.id for doc in documents]
     directive = ""
-    if hasattr(policy, "rank_directive"):
-        directive = policy.rank_directive(sub_query, documents, m)
+    if hasattr(episode, "rank_directive"):
+        directive = episode.rank_directive(sub_query, documents, m)
     return parse_rank_directive(directive, ids, m)
 
 
 def run_episode(question: str, policy: Policy, retriever: Retriever,
                 config: AgentConfig, rng: np.random.Generator) -> EpisodeResult:
     """Run one episode and produce the trajectory plus the final answer."""
-    begin = getattr(policy, "begin_episode", None)
-    if callable(begin):
-        begin(question)
-
+    episode = policy.start(question)
     steps: list[Step] = []
     seen_subqueries: set[str] = set()
     log_prob = 0.0
@@ -137,7 +144,7 @@ def run_episode(question: str, policy: Policy, retriever: Retriever,
             history=Trajectory(question=question, steps=tuple(steps),
                                terminated=False, budget=config.budget),
             hop=hop)
-        decision = policy.propose_subquery(state, rng)
+        decision = episode.propose_subquery(state, rng)
         log_prob += decision.log_prob
         if decision.choice is None:
             break
@@ -150,14 +157,14 @@ def run_episode(question: str, policy: Policy, retriever: Retriever,
         selected: tuple[str, ...] | None = None
         documents = retriever.resolve(hits)
         if config.rerank and hits:
-            selected = tuple(rank_documents(policy, sub_query, documents,
+            selected = tuple(rank_documents(episode, sub_query, documents,
                                             config.rerank_keep))
             documents = [retriever.get(pid) for pid in selected]
 
         if not hits:
             evidence = ""
         else:
-            extraction = policy.extract_evidence(state, sub_query, documents, rng)
+            extraction = episode.extract_evidence(state, sub_query, documents, rng)
             log_prob += extraction.log_prob
             evidence = extraction.choice or ""
         steps.append(Step(sub_query=sub_query, retrieved=tuple(hits),
@@ -165,7 +172,7 @@ def run_episode(question: str, policy: Policy, retriever: Retriever,
 
     trajectory = Trajectory(question=question, steps=tuple(steps),
                             terminated=True, budget=config.budget)
-    final = policy.answer(question, trajectory, rng)
+    final = episode.answer(question, trajectory, rng)
     log_prob += final.log_prob
     return EpisodeResult(trajectory=trajectory, answer=final.choice or "",
                          log_prob=log_prob)

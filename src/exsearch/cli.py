@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -187,37 +186,17 @@ def cmd_explore(args, config: dict) -> int:
     agent_config = _agent_config(args, config)
     retriever = _load_retriever(args, config)
     examples = trajectory.read_examples_jsonl(args.examples)
-    seed = _seed(args, config)
-
-    # ChatPolicy holds per-episode state, so each worker gets its own policy
-    # over the shared client; the tabular policy is read-only and shared.
-    if args.policy == "llm":
-        client = llm.HttpChatClient(_endpoint_config(config))
-        make_policy = lambda: llm.ChatPolicy(client)  # noqa: E731
-    else:
-        shared = _load_policy(args, config, agent_config)
-        make_policy = lambda: shared  # noqa: E731
-
-    def explore_example(ex):
-        policy = make_policy()
-        out = []
-        for i in range(args.samples):
-            rng = agent.episode_rng(seed, ex.id, i)
-            result = agent.run_episode(ex.question, policy, retriever,
-                                       agent_config, rng)
-            out.append(trajectory.TrajectoryRecord(
-                id=f"{ex.id}/{i}", trajectory=result.trajectory,
-                answer=result.answer))
-        return out
-
-    jobs = max(1, args.jobs)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_example = list(pool.map(explore_example, examples))
-    else:
-        per_example = [explore_example(ex) for ex in examples]
-    records = [rec for group in per_example for rec in group]
+    policy = _load_policy(args, config, agent_config)
+    explored = training.explore(examples, policy, retriever, agent_config,
+                                args.samples, _seed(args, config), jobs=args.jobs)
+    errors = [exc for found in explored for _i, exc in found.errors]
+    if errors:
+        return _fail(errors[0], f" ({len(errors)} of "
+                                f"{len(examples) * args.samples} episodes failed)")
+    records = [trajectory.TrajectoryRecord(id=f"{found.example.id}/{i}",
+                                           trajectory=result.trajectory,
+                                           answer=result.answer)
+               for found in explored for i, result in found.results]
     n = trajectory.write_trajectories_jsonl(args.out, records)
     _emit(args, f"explored {n} trajectories over {len(examples)} examples -> {args.out}",
           {"trajectories": n, "examples": len(examples), "out": str(args.out)})
@@ -252,30 +231,17 @@ def cmd_weigh(args, config: dict) -> int:
     records = trajectory.read_trajectories_jsonl(args.trajectories)
     by_id, groups = _group_by_example(records, examples)
 
-    scorer = None
+    policy = None
     if args.mode == "posterior-logprob":
-        agent_config = _agent_config(args, config)
-        policy = _load_policy(args, config, agent_config)
-        scorer = lambda ex, rec: training.score_answer_set(  # noqa: E731
-            policy, ex.question, rec.trajectory, ex.gold_answers)
+        policy = _load_policy(args, config, _agent_config(args, config))
 
     out_items = []
     for ex_id, group in groups.items():
         if not group:
             continue
-        ex = by_id[ex_id]
-        raws = []
-        for _sample, rec in group:
-            if scorer is not None:
-                raws.append(scorer(ex, rec))
-            else:
-                reward = training.REWARD_FNS[args.mode]
-                raws.append(float(reward(rec.answer or "", list(ex.gold_answers))))
-        weights = training.normalize_weights(raws)
-        for (_sample, rec), raw, w in zip(group, raws, weights):
-            out_items.append((rec.id, trajectory.WeightedTrajectory(
-                trajectory=rec.trajectory, answer=rec.answer or "",
-                log_weight=float(raw), weight=float(w), weight_mode=args.mode)))
+        samples = [(rec.trajectory, rec.answer or "") for _sample, rec in group]
+        batch = training.weigh(by_id[ex_id], samples, args.mode, policy)
+        out_items += [(rec.id, wt) for (_sample, rec), wt in zip(group, batch.items)]
     n = trajectory.write_weighted_jsonl(args.out, out_items)
     _emit(args, f"weighted {n} trajectories ({args.mode}) -> {args.out}",
           {"weighted": n, "mode": args.mode, "out": str(args.out)})
@@ -409,8 +375,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="engine config file (JSON; TOML on 3.11+)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker pool size for batch commands")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker threads for batch commands (pays off only "
+                        "for endpoint-bound work)")
 
 
 def _add_agent_flags(p: argparse.ArgumentParser) -> None:
@@ -533,27 +500,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _fail(exc: Exception, detail: str = "") -> int:
+    """Print the one-line error for ``exc`` and return its exit code."""
+    print(f"exsearch: error: {type(exc).__name__}: {exc}{detail}", file=sys.stderr)
+    if isinstance(exc, (UsageError, ValueError)):
+        return EXIT_USAGE
+    if isinstance(exc, (EndpointError, LogprobsUnsupported)):
+        return EXIT_ENDPOINT
+    return EXIT_DATA
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
         return args.func(args, config)
-    except UsageError as exc:
-        print(f"exsearch: error: UsageError: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"exsearch: error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (EndpointError, LogprobsUnsupported) as exc:
-        print(f"exsearch: error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_ENDPOINT
-    except (DataError, OSError) as exc:
-        print(f"exsearch: error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ExsearchError as exc:
-        print(f"exsearch: error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except (UsageError, ValueError, ExsearchError, OSError) as exc:
+        return _fail(exc)
 
 
 if __name__ == "__main__":

@@ -231,44 +231,46 @@ class HttpChatClient:
         return sum(self._ensure_logprobs(turns, y))
 
 
+class ChatPolicy:
+    """Policy implementation that drives a chat endpoint per episode.
+
+    Each :meth:`start` opens a :class:`ChatEpisode` holding that episode's
+    transcript, so one policy (and its client) can serve concurrent
+    episodes. Per-decision log-probabilities are not observable over the
+    wire and are reported as 0.0; answer likelihoods for importance
+    weighting come from :meth:`score_answer` instead.
+    """
+
+    def __init__(self, client: HttpChatClient, max_tokens: int = 512):
+        self.client = client
+        self.max_tokens = max_tokens
+
+    def start(self, question: str) -> "ChatEpisode":
+        return ChatEpisode(self.client, self.max_tokens, question)
+
+    def score_answer(self, question: str, trajectory: Trajectory, y: str) -> float:
+        return self.client.score_answer_logprob(question, trajectory, y)
+
+
 @dataclass
-class _EpisodeState:
+class ChatEpisode:
+    """One episode's running transcript and the decisions that extend it."""
+
+    client: HttpChatClient
+    max_tokens: int
     question: str
     assistant: str = ""
     pending_think: str | None = None
     finalizing: bool = False
     docs_injected: bool = False
 
-
-class ChatPolicy:
-    """Policy implementation that drives a chat endpoint per episode.
-
-    Per-decision log-probabilities are not observable over the wire and are
-    reported as 0.0; answer likelihoods for importance weighting come from
-    :meth:`score_answer` instead.
-    """
-
-    def __init__(self, client: HttpChatClient, max_tokens: int = 512):
-        self.client = client
-        self.max_tokens = max_tokens
-        self._episode: _EpisodeState | None = None
-
-    def begin_episode(self, question: str) -> None:
-        self._episode = _EpisodeState(question=question)
-
-    def _state(self) -> _EpisodeState:
-        if self._episode is None:
-            raise RuntimeError("begin_episode() was not called")
-        return self._episode
-
     def _turns(self) -> list[ChatTurn]:
-        ep = self._state()
         turns = [
             ChatTurn("system", build_system_prompt()),
-            ChatTurn("user", build_user_turn(ep.question)),
+            ChatTurn("user", build_user_turn(self.question)),
         ]
-        if ep.assistant:
-            turns.append(ChatTurn("assistant", ep.assistant))
+        if self.assistant:
+            turns.append(ChatTurn("assistant", self.assistant))
         return turns
 
     def _generate(self, stop: Sequence[str], max_tokens: int | None = None) -> str:
@@ -276,24 +278,22 @@ class ChatPolicy:
                                     max_tokens or self.max_tokens)
 
     def _append(self, text: str) -> None:
-        ep = self._state()
-        if ep.assistant and not ep.assistant.endswith("\n") and text and not text.startswith("\n"):
-            ep.assistant += "\n"
-        ep.assistant += text
+        if self.assistant and not self.assistant.endswith("\n") and text and not text.startswith("\n"):
+            self.assistant += "\n"
+        self.assistant += text
 
     def propose_subquery(self, state: PolicyState,
                          rng: np.random.Generator) -> PolicyDecision:
-        ep = self._state()
-        if ep.finalizing:
+        if self.finalizing:
             return PolicyDecision(choice=None, log_prob=0.0)
-        if ep.pending_think is not None:
-            sub_query, ep.pending_think = ep.pending_think, None
+        if self.pending_think is not None:
+            sub_query, self.pending_think = self.pending_think, None
             return PolicyDecision(choice=sub_query, log_prob=0.0)
         text = self._generate(GENERATION_STOPS)
         self._append(text)
         thinks = _THINK_RE.findall(text)
         if not thinks:
-            ep.finalizing = True
+            self.finalizing = True
             return PolicyDecision(choice=None, log_prob=0.0)
         return PolicyDecision(choice=thinks[-1].strip(), log_prob=0.0)
 
@@ -308,9 +308,8 @@ class ChatPolicy:
 
     def rank_directive(self, sub_query: str, documents: Sequence[Passage],
                        keep: int) -> str:
-        ep = self._state()
         self._append(self._docs_line(documents))
-        ep.docs_injected = True
+        self.docs_injected = True
         self._append("<RANK>")
         text = self._generate(["\n"], max_tokens=64)
         self._append(f" {text.strip()}\n")
@@ -321,19 +320,18 @@ class ChatPolicy:
                          rng: np.random.Generator) -> PolicyDecision:
         if not documents:
             raise NoDocuments("cannot extract evidence from an empty document list")
-        ep = self._state()
-        if not ep.docs_injected:
+        if not self.docs_injected:
             self._append(self._docs_line(documents))
-        ep.docs_injected = False
+        self.docs_injected = False
         text = self._generate(GENERATION_STOPS)
         self._append(text)
         record = _RECORD_RE.search(text)
         evidence = record.group(1).strip() if record else ""
         thinks = _THINK_RE.findall(text)
         if thinks:
-            ep.pending_think = thinks[-1].strip()
+            self.pending_think = thinks[-1].strip()
         else:
-            ep.finalizing = True
+            self.finalizing = True
         return PolicyDecision(choice=evidence, log_prob=0.0)
 
     def answer(self, question: str, trajectory: Trajectory,
@@ -341,12 +339,8 @@ class ChatPolicy:
         # Answer aggregation conditions on the canonical transcript (all
         # steps: sub-queries, citations, evidence) rather than the raw
         # generation context with full document bodies.
-        ep = self._state()
         context = render_transcript(trajectory)
-        ep.assistant = context + ("\n" if context else "") + "<FINAL>"
+        self.assistant = context + ("\n" if context else "") + "<FINAL>"
         text = self._generate(["\n"], max_tokens=64)
         self._append(text)
         return PolicyDecision(choice=text.strip(), log_prob=0.0)
-
-    def score_answer(self, question: str, trajectory: Trajectory, y: str) -> float:
-        return self.client.score_answer_logprob(question, trajectory, y)

@@ -216,6 +216,10 @@ class TabularPolicy:
 
     # -- decision sampling -----------------------------------------------------
 
+    def start(self, question: str) -> "TabularPolicy":
+        """The tabular policy keeps no per-episode state: it is its own episode."""
+        return self
+
     def propose_subquery(self, state: PolicyState, rng: np.random.Generator) -> PolicyDecision:
         probs = self.think_probs(state.hop)
         idx = int(rng.choice(len(probs), p=probs))
@@ -255,12 +259,6 @@ class TabularPolicy:
         texts = self._answer_texts(trajectory)
         mass = sum(p for p, text in zip(probs, texts) if text == y)
         return math.log(mass) if mass > 0.0 else LOG_FLOOR
-
-    def score_answer_set(self, question: str, trajectory: Trajectory,
-                         golds: Iterable[str]) -> float:
-        """log mass on any of the gold answers (they are mutually exclusive texts)."""
-        return logsumexp(self.score_answer(question, trajectory, g)
-                         for g in dict.fromkeys(golds))
 
     # -- document selection (extension action) ---------------------------------
 

@@ -19,10 +19,10 @@ or token F1) into the same softmax, yielding the goal-oriented variant.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -40,6 +40,7 @@ from .policy import (
     logsumexp,
     passage_object,
     question_start_entity,
+    softmax,
 )
 from .retrieval import Retriever
 from .trajectory import (
@@ -111,14 +112,21 @@ class IterationReport:
     wall_time: float
 
 
+@dataclass
+class Exploration:
+    """The episodes sampled for one example, by sample index; a failed
+    sample keeps its error instead of a result."""
+
+    example: Example
+    results: list[tuple[int, EpisodeResult]]
+    errors: list[tuple[int, ExsearchError]]
+
+
 def normalize_weights(raw_log_weights: Sequence[float]) -> np.ndarray:
     """Softmax with max-subtraction: shift-invariant, sums to 1."""
-    arr = np.asarray(raw_log_weights, dtype=float)
-    if arr.size == 0:
+    if len(raw_log_weights) == 0:
         raise ValueError("need at least one raw weight")
-    shifted = arr - arr.max()
-    exps = np.exp(shifted)
-    return exps / exps.sum()
+    return softmax(raw_log_weights)
 
 
 def score_answer_set(policy, question: str, trajectory: Trajectory,
@@ -126,16 +134,6 @@ def score_answer_set(policy, question: str, trajectory: Trajectory,
     """log-probability mass the policy puts on any gold answer."""
     return logsumexp(policy.score_answer(question, trajectory, g)
                      for g in dict.fromkeys(golds))
-
-
-def raw_log_weight(policy, example: Example, result: EpisodeResult,
-                   weight_mode: str) -> float:
-    """Raw (log-domain) weight of one sampled episode under the given mode."""
-    if weight_mode == "posterior-logprob":
-        return score_answer_set(policy, example.question, result.trajectory,
-                                example.gold_answers)
-    reward = REWARD_FNS[weight_mode]
-    return float(reward(result.answer, list(example.gold_answers)))
 
 
 def _weighted_batch(example: Example, entries: list[tuple[Trajectory, str, float]],
@@ -153,30 +151,50 @@ def _weighted_batch(example: Example, entries: list[tuple[Trajectory, str, float
     return ExampleBatch(example=example, items=items, failures=failures)
 
 
-def _e_step_sampled_one(example: Example, policy, retriever: Retriever,
-                        config: TrainConfig, agent_config: AgentConfig,
-                        seed: int, sample_base: int) -> ExampleBatch:
-    entries: list[tuple[Trajectory, str, float]] = []
-    failures = 0
-    mode = config.weight_mode
-    for i in range(config.samples_per_example):
-        rng = episode_rng(seed, example.id, sample_base + i)
-        try:
-            result = run_episode(example.question, policy, retriever,
-                                 agent_config, rng)
-        except ExsearchError as exc:
-            logger.warning("episode failed for %s sample %d: %s", example.id, i, exc)
-            failures += 1
-            continue
-        try:
-            raw = raw_log_weight(policy, example, result, mode)
-        except LogprobsUnsupported:
-            logger.warning("endpoint lacks logprobs; falling back to reward-em "
-                           "weighting for %s", example.id)
-            mode = "reward-em"
-            raw = raw_log_weight(policy, example, result, mode)
-        entries.append((result.trajectory, result.answer, raw))
-    return _weighted_batch(example, entries, mode, failures)
+def explore(examples: Sequence[Example], policy, retriever: Retriever,
+            agent_config: AgentConfig, samples: int, seed: int = 0,
+            sample_base: int = 0, jobs: int = 1) -> list[Exploration]:
+    """Run ``samples`` episodes per example, in example order.
+
+    Sample i of an example runs on ``episode_rng(seed, example.id,
+    sample_base + i)`` and in its own episode from ``policy.start``, so
+    ``jobs`` worker threads never change a result. An episode that raises
+    ExsearchError is kept as an error on its exploration, never aborting
+    the others.
+    """
+    def explore_one(example: Example) -> Exploration:
+        found = Exploration(example=example, results=[], errors=[])
+        for i in range(samples):
+            rng = episode_rng(seed, example.id, sample_base + i)
+            try:
+                found.results.append((i, run_episode(
+                    example.question, policy, retriever, agent_config, rng)))
+            except ExsearchError as exc:
+                found.errors.append((i, exc))
+        return found
+
+    if jobs > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(explore_one, examples))
+    return [explore_one(ex) for ex in examples]
+
+
+def weigh(example: Example, samples: Sequence[tuple[Trajectory, str]],
+          weight_mode: str, policy=None, failures: int = 0) -> ExampleBatch:
+    """Weight one example's (trajectory, answer) samples under ``weight_mode``.
+
+    The raw log-weight is the policy's log-probability of any gold answer
+    (``posterior-logprob``, which needs ``policy``) or the reward of the
+    sampled answer; raw weights are then softmax-normalized per example.
+    """
+    golds = list(example.gold_answers)
+    if weight_mode == "posterior-logprob":
+        entries = [(t, a, score_answer_set(policy, example.question, t, golds))
+                   for t, a in samples]
+    else:
+        reward = REWARD_FNS[weight_mode]
+        entries = [(t, a, float(reward(a, golds))) for t, a in samples]
+    return _weighted_batch(example, entries, weight_mode, failures)
 
 
 def _e_step_exact_one(example: Example, policy: TabularPolicy,
@@ -203,24 +221,35 @@ def e_step(examples: Sequence[Example], policy, retriever: Retriever,
     """Explore and weight trajectories for every example.
 
     Sampled mode runs ``samples_per_example`` episodes per example with
-    isolated RNG streams; exact mode enumerates the full trajectory space
-    and weights each trajectory by the true posterior given the gold answer.
-    Per-example failures are recorded on the batch and never abort the run.
+    isolated RNG streams (:func:`explore`) and weights them (:func:`weigh`);
+    an example whose endpoint cannot score log-probabilities is weighted
+    under ``reward-em`` instead. Exact mode enumerates the full trajectory
+    space and weights each trajectory by the true posterior given the gold
+    answer. Per-example failures are recorded on the batch and never abort
+    the run.
     """
     if not examples:
         raise ValueError("e_step needs a non-empty dataset")
     if config.e_step_mode == "exact-enumeration":
         return [_e_step_exact_one(ex, policy, retriever, config, agent_config)
                 for ex in examples]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(
-                lambda ex: _e_step_sampled_one(ex, policy, retriever, config,
-                                               agent_config, seed, sample_base),
-                examples))
-    return [_e_step_sampled_one(ex, policy, retriever, config, agent_config,
-                                seed, sample_base)
-            for ex in examples]
+    batches = []
+    for found in explore(examples, policy, retriever, agent_config,
+                         config.samples_per_example, seed, sample_base, jobs):
+        for i, exc in found.errors:
+            logger.warning("episode failed for %s sample %d: %s",
+                           found.example.id, i, exc)
+        samples = [(r.trajectory, r.answer) for _i, r in found.results]
+        try:
+            batch = weigh(found.example, samples, config.weight_mode, policy,
+                          len(found.errors))
+        except LogprobsUnsupported:
+            logger.warning("endpoint lacks logprobs; falling back to reward-em "
+                           "weighting for %s", found.example.id)
+            batch = weigh(found.example, samples, "reward-em", policy,
+                          len(found.errors))
+        batches.append(batch)
+    return batches
 
 
 def _batch_has_signal(batch: ExampleBatch) -> bool:

@@ -91,6 +91,9 @@ class TestRunEpisode:
             def __init__(self):
                 self.hops = 0
 
+            def start(self, question):
+                return self
+
             def propose_subquery(self, state, rng):
                 self.hops += 1
                 return PolicyDecision(choice=f"zzz{self.hops} qqq", log_prob=0.0)
@@ -113,6 +116,9 @@ class TestRunEpisode:
         world, retriever = two_hop_rig()
 
         class RepeatPolicy:
+            def start(self, question):
+                return self
+
             def propose_subquery(self, state, rng):
                 return PolicyDecision(choice="A r1", log_prob=0.0)
 

@@ -214,11 +214,15 @@ class TestPipelineComposition:
                         "backoff_base": 0.01},
                 "retriever": {"index": str(index_dir), "k": 3},
             }))
-            assert main(["explore", "--examples", str(out / "examples.jsonl"),
-                         "--policy", "llm", "--config", str(config),
-                         "--samples", "2", "--budget", "3",
-                         "--out", str(tmp_path / "trajs.jsonl")]) == 0
-        assert main(["weigh", "--trajectories", str(tmp_path / "trajs.jsonl"),
+            for jobs in ("1", "4"):
+                assert main(["explore", "--examples", str(out / "examples.jsonl"),
+                             "--policy", "llm", "--config", str(config),
+                             "--samples", "2", "--budget", "3", "--jobs", jobs,
+                             "--out", str(tmp_path / f"trajs{jobs}.jsonl")]) == 0
+        # one shared chat policy, per-episode sessions: threads change nothing
+        assert ((tmp_path / "trajs4.jsonl").read_bytes()
+                == (tmp_path / "trajs1.jsonl").read_bytes())
+        assert main(["weigh", "--trajectories", str(tmp_path / "trajs1.jsonl"),
                      "--examples", str(out / "examples.jsonl"),
                      "--mode", "reward-em", "--out", str(tmp_path / "w.jsonl")]) == 0
         assert main(["export-sft", "--weighted", str(tmp_path / "w.jsonl"),
@@ -270,6 +274,30 @@ class TestExitCodes:
                          "--config", str(config), "--index", str(idx))
         assert result.returncode == 3
         assert "Error" in result.stderr or "error" in result.stderr
+
+    def test_explore_failures_write_nothing_and_are_counted(self, tmp_path, capsys):
+        config = tmp_path / "engine.json"
+        config.write_text(json.dumps({
+            "llm": {"base_url": "http://127.0.0.1:9", "model_name": "stub",
+                    "max_retries": 0, "timeout": 0.2, "backoff_base": 0.01},
+        }))
+        corpus = tmp_path / "corpus.jsonl"
+        trajectory.write_passages_jsonl(corpus, _wiki_passages())
+        examples = tmp_path / "ex.jsonl"
+        trajectory.write_examples_jsonl(examples, [
+            trajectory.Example(id=f"e{i}", question="q", gold_answers=("a",))
+            for i in range(2)])
+        assert main(["ingest", "--corpus", str(corpus),
+                     "--index", str(tmp_path / "idx")]) == 0
+        capsys.readouterr()
+        code = main(["explore", "--examples", str(examples), "--policy", "llm",
+                     "--config", str(config), "--index", str(tmp_path / "idx"),
+                     "--samples", "3", "--out", str(tmp_path / "t.jsonl")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 3
+        assert not (tmp_path / "t.jsonl").exists()
+        assert len(err) == 1 and err[0].startswith("exsearch: error: EndpointError: ")
+        assert err[0].endswith("(6 of 6 episodes failed)")
 
     def test_missing_input_file_exits_2(self, tmp_path):
         result = run_cli("ingest", "--corpus", str(tmp_path / "nope.jsonl"),

@@ -72,6 +72,9 @@ class StopAndAnswerPolicy:
     def __init__(self, answers):
         self.answers = list(answers)
 
+    def start(self, question):
+        return self
+
     def propose_subquery(self, state, rng):
         return PolicyDecision(choice=None, log_prob=0.0)
 
@@ -506,3 +509,68 @@ class TestLogprobsFallback:
             for wt in batch.items:
                 assert wt.weight_mode == "reward-em"
                 assert wt.log_weight in (0.0, 1.0)
+
+    def test_logprobs_lost_mid_example_reweighs_every_entry(self):
+        # The endpoint scores the first request only; every entry of the
+        # example, including the one scored before the loss, is reweighed
+        # under reward-em instead of mixing the two modes in one softmax.
+        from dataclasses import dataclass
+
+        from exsearch.llm import ChatPolicy, EndpointConfig, HttpChatClient
+        from exsearch.stub import ChainOracleBehavior, StubChatServer
+        from exsearch.synth import generate_world, make_questions, render_corpus
+
+        @dataclass
+        class FirstScoreOnly(ChainOracleBehavior):
+            def _score(self, target):
+                reply = super()._score(target)
+                self.logprobs_enabled = False
+                return reply
+
+        world = generate_world(12, 2, 2, 1.0, seed=6)
+        questions = make_questions(world, 2, seed=6)
+        retriever = Retriever(build_index(render_corpus(world)))
+        config = TrainConfig(samples_per_example=2, weight_mode="posterior-logprob")
+        with StubChatServer(FirstScoreOnly()) as server:
+            endpoint = EndpointConfig(base_url=server.base_url, model_name="stub",
+                                      backoff_base=0.01, supports_logprobs="yes")
+            policy = ChatPolicy(HttpChatClient(endpoint))
+            batches = e_step(questions, policy, retriever, config,
+                             AgentConfig(budget=3, k=3), seed=0)
+        for batch in batches:
+            assert len(batch.items) == 2
+            for wt in batch.items:
+                assert wt.weight_mode == "reward-em"
+                assert wt.log_weight in (0.0, 1.0)
+
+
+class TestSharedChatPolicy:
+    def test_parallel_e_step_matches_serial(self):
+        # One ChatPolicy serves every worker thread: each episode must keep
+        # its own transcript, so jobs=4 reproduces jobs=1 exactly.
+        import sys
+
+        from exsearch.llm import ChatPolicy, EndpointConfig, HttpChatClient
+        from exsearch.stub import ChainOracleBehavior, StubChatServer
+        from exsearch.synth import generate_world, make_questions, render_corpus
+
+        world = generate_world(30, 3, 2, 1.0, seed=5)
+        questions = make_questions(world, 12, seed=5)
+        retriever = Retriever(build_index(render_corpus(world)))
+        config = TrainConfig(samples_per_example=2, weight_mode="reward-em")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with StubChatServer(ChainOracleBehavior()) as server:
+                policy = ChatPolicy(HttpChatClient(EndpointConfig(
+                    base_url=server.base_url, model_name="stub", backoff_base=0.01)))
+                runs = [e_step(questions, policy, retriever, config,
+                               AgentConfig(budget=2, k=3), seed=5, jobs=jobs)
+                        for jobs in (1, 4)]
+        finally:
+            sys.setswitchinterval(interval)
+        serial, parallel = runs
+        assert [b.failures for b in parallel] == [0] * len(questions)
+        assert all(wt.log_weight == 1.0 for b in serial for wt in b.items)
+        for a, b in zip(serial, parallel):
+            assert a.items == b.items
