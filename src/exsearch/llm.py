@@ -108,8 +108,10 @@ class HttpChatClient:
 
     Retries transport errors and HTTP 429/5xx with exponential backoff
     (factor 2 plus jitter) up to ``max_retries``; 401/403 raise AuthError
-    immediately and are never retried. The resolved log-probability
-    capability is cached write-once after the first probe.
+    immediately and are never retried. A request whose every attempt failed
+    to connect marks the client unreachable: each later request raises
+    EndpointError at once, without network I/O or backoff. The resolved
+    log-probability capability is cached write-once after the first probe.
     """
 
     def __init__(self, config: EndpointConfig):
@@ -117,6 +119,7 @@ class HttpChatClient:
         self._session = requests.Session()
         self._slots = threading.BoundedSemaphore(config.parallelism_cap)
         self._probe_lock = threading.Lock()
+        self._unreachable: str | None = None
         self._logprobs_ok: bool | None = {
             "yes": True, "no": False, "probe": None
         }[config.supports_logprobs]
@@ -129,6 +132,8 @@ class HttpChatClient:
         return key
 
     def _request(self, payload: dict) -> dict:
+        if self._unreachable is not None:
+            raise EndpointError(f"endpoint unreachable: {self._unreachable}")
         url = f"{self.config.base_url.rstrip('/')}/chat/completions"
         headers = {"Authorization": f"Bearer {self._api_key()}",
                    "Content-Type": "application/json"}
@@ -160,6 +165,9 @@ class HttpChatClient:
                 return resp.json()
             except ValueError as exc:
                 raise EndpointError(f"endpoint returned non-JSON body: {exc}") from exc
+        if (isinstance(last_error, requests.ConnectionError)
+                and not isinstance(last_error, requests.Timeout)):
+            self._unreachable = str(last_error)
         if timed_out:
             raise Timeout(f"no response within {self.config.timeout}s "
                           f"after {attempts} attempts") from last_error

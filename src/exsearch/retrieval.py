@@ -4,18 +4,20 @@ BM25 (k1=0.9, b=0.4) with the non-negative smoothed idf
 ``ln(1 + (N - df + 0.5) / (df + 0.5))`` so that a passage scores 0 exactly
 when it shares no term with the query; zero-scoring passages are never
 returned. No stemming or stopword removal; both title and body are indexed.
+A query costs one pass over the posting lists of its distinct terms.
 The index is immutable after build and safe for concurrent searches.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import re
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import CorruptIndex, DuplicateId, EmptyIndex, VersionMismatch
 from .trajectory import Passage, ScoredPassage, passage_from_dict, passage_to_dict
@@ -88,25 +90,6 @@ def build_index(passages: Iterable[Passage]) -> CorpusIndex:
                        avg_doc_length=avg, doc_count=n, passages=store)
 
 
-def bm25_score(index: CorpusIndex, query_terms: Sequence[str], passage_id: str) -> float:
-    """BM25 score of one passage for the given query terms.
-
-    Each distinct query term contributes once; query term frequency is ignored.
-    """
-    dl = index.doc_lengths[passage_id]
-    norm = K1 * (1.0 - B + B * dl / index.avg_doc_length) if index.avg_doc_length else K1
-    score = 0.0
-    for term in dict.fromkeys(query_terms):
-        per_doc = dict(index.postings.get(term, ()))
-        tf = per_doc.get(passage_id, 0)
-        if tf == 0:
-            continue
-        df = len(per_doc)
-        idf = math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
-        score += idf * (K1 + 1.0) * tf / (tf + norm)
-    return score
-
-
 def search(index: CorpusIndex, query: str, k: int) -> list[ScoredPassage]:
     """Top-k BM25 retrieval.
 
@@ -118,13 +101,18 @@ def search(index: CorpusIndex, query: str, k: int) -> list[ScoredPassage]:
         raise ValueError("k must be >= 1")
     if index.doc_count == 0:
         raise EmptyIndex("cannot search an empty index")
-    terms = tokenize(query)
+    avg = index.avg_doc_length
     scores: dict[str, float] = {}
-    for term in dict.fromkeys(terms):
-        for pid, _tf in index.postings.get(term, ()):
-            if pid not in scores:
-                scores[pid] = bm25_score(index, terms, pid)
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+    # Term at a time, in query order: every passage sums its terms' shares
+    # in the same order, so equal inputs give exactly equal (tied) scores.
+    for term in dict.fromkeys(tokenize(query)):
+        plist = index.postings.get(term, ())
+        df = len(plist)
+        idf = math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
+        for pid, tf in plist:
+            norm = K1 * (1.0 - B + B * index.doc_lengths[pid] / avg) if avg else K1
+            scores[pid] = scores.get(pid, 0.0) + idf * (K1 + 1.0) * tf / (tf + norm)
+    ranked = heapq.nsmallest(k, scores.items(), key=lambda kv: (-kv[1], kv[0]))
     return [ScoredPassage(passage_ref=pid, score=s, rank=i)
             for i, (pid, s) in enumerate(ranked, 1)]
 

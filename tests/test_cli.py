@@ -275,11 +275,14 @@ class TestExitCodes:
         assert result.returncode == 3
         assert "Error" in result.stderr or "error" in result.stderr
 
-    def test_explore_failures_write_nothing_and_are_counted(self, tmp_path, capsys):
+    @staticmethod
+    def _explore_refused_port(tmp_path, capsys, max_retries):
+        """Run explore (2 examples x 3 samples) against a refused port and
+        check the failure contract: exit 3, no output file, one error line."""
         config = tmp_path / "engine.json"
         config.write_text(json.dumps({
             "llm": {"base_url": "http://127.0.0.1:9", "model_name": "stub",
-                    "max_retries": 0, "timeout": 0.2, "backoff_base": 0.01},
+                    "max_retries": max_retries, "timeout": 0.2, "backoff_base": 0.01},
         }))
         corpus = tmp_path / "corpus.jsonl"
         trajectory.write_passages_jsonl(corpus, _wiki_passages())
@@ -298,6 +301,16 @@ class TestExitCodes:
         assert not (tmp_path / "t.jsonl").exists()
         assert len(err) == 1 and err[0].startswith("exsearch: error: EndpointError: ")
         assert err[0].endswith("(6 of 6 episodes failed)")
+
+    def test_explore_failures_write_nothing_and_are_counted(self, tmp_path, capsys):
+        self._explore_refused_port(tmp_path, capsys, max_retries=0)
+
+    def test_explore_against_refused_port_backs_off_once(self, tmp_path, capsys,
+                                                          monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("exsearch.llm.time.sleep", sleeps.append)
+        self._explore_refused_port(tmp_path, capsys, max_retries=2)
+        assert len(sleeps) == 2
 
     def test_missing_input_file_exits_2(self, tmp_path):
         result = run_cli("ingest", "--corpus", str(tmp_path / "nope.jsonl"),

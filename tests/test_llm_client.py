@@ -72,6 +72,31 @@ class TestComplete:
             with pytest.raises(EndpointError):
                 client.complete([ChatTurn("user", "u")], [])
 
+    def test_refused_connection_fails_later_requests_at_once(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("exsearch.llm.time.sleep", sleeps.append)
+        with StubChatServer(ScriptedBehavior(["never"])) as server:
+            config = make_config(server, max_retries=2)
+        client = HttpChatClient(config)
+        posts = []
+        real_post = client._session.post
+        monkeypatch.setattr(client._session, "post",
+                            lambda *a, **kw: posts.append(1) or real_post(*a, **kw))
+        with pytest.raises(EndpointError, match="after 3 attempts"):
+            client.complete([ChatTurn("user", "u")], [])
+        for _ in range(3):
+            with pytest.raises(EndpointError, match="^endpoint unreachable: "):
+                client.complete([ChatTurn("user", "u")], [])
+        assert len(posts) == 3 and len(sleeps) == 2
+
+    def test_server_errors_do_not_mark_client_unreachable(self):
+        behavior = FlakyBehavior([500] * 3, ScriptedBehavior(["ok"]))
+        with StubChatServer(behavior) as server:
+            client = HttpChatClient(make_config(server, max_retries=2))
+            with pytest.raises(EndpointError, match="HTTP 500"):
+                client.complete([ChatTurn("user", "u")], [])
+            assert client.complete([ChatTurn("user", "u")], []) == "ok"
+
     def test_missing_api_key_fails_before_any_request(self, monkeypatch):
         monkeypatch.delenv("EXSEARCH_API_KEY", raising=False)
         calls = []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from collections import Counter
@@ -145,6 +146,41 @@ class TestSearch:
         hits = search(index, "alpha", 3)
         assert [h.passage_ref for h in hits] == ["pa", "pb", "pc"]
         assert hits == search(index, "alpha", 3)
+
+    def test_one_posting_lookup_per_distinct_query_term(self):
+        class CountingPostings(dict):
+            lookups = 0
+
+            def get(self, key, default=None):
+                self.lookups += 1
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                self.lookups += 1
+                return super().__getitem__(key)
+
+        rng = np.random.default_rng(7)
+        vocab = [f"w{i}" for i in range(10)]
+        index = build_index(passages_from({
+            f"p{i:03d}": " ".join(vocab[int(j)] for j in rng.integers(0, 10, size=6))
+            for i in range(100)}))
+        counted = dataclasses.replace(index, postings=CountingPostings(index.postings))
+        hits = search(counted, "w1 w2 w1 w3 absent w2", 5)
+        assert counted.postings.lookups == 4
+        assert hits == search(index, "w1 w2 w1 w3 absent w2", 5)
+
+    def test_ties_beyond_k_keep_the_smallest_ids(self):
+        tied = [f"t{i:02d}" for i in range(12)]
+        texts = {pid: "alpha beta" for pid in tied}
+        texts.update(top="alpha alpha", other="gamma delta")
+        index = build_index(passages_from(dict(reversed(texts.items()))))
+        full = search(index, "alpha", index.doc_count)
+        assert [h.passage_ref for h in full] == ["top", *tied]
+        assert len({h.score for h in full[1:]}) == 1
+        for k in range(1, len(full) + 1):
+            hits = search(index, "alpha", k)
+            assert hits == full[:k]
+            assert [h.passage_ref for h in hits[1:]] == tied[:k - 1]
 
     def test_zero_scoring_passage_does_not_reorder_prior_results(self):
         base = {"p1": "alpha beta beta", "p2": "alpha alpha gamma", "p3": "beta beta gamma"}
