@@ -1,9 +1,10 @@
-"""Exact-enumeration self-training: the likelihood climbs, provably.
+"""Exact self-training: the likelihood climbs, provably.
 
-With the trajectory space enumerated exhaustively, exploration weights equal
-the true posterior and each re-weighted update cannot decrease the training
-log-likelihood. This demo prints the per-iteration curve and checks the
-bound and the ELBO identity numerically.
+Exact training weights every trajectory by the true posterior (a
+forward-backward pass over the policy's (hop, entity) lattice), so each
+re-weighted update cannot decrease the training log-likelihood. This demo
+prints the per-iteration curve and checks the bound, then the ELBO identity
+with the exhaustive-enumeration oracle.
 """
 
 from exsearch import (

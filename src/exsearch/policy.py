@@ -12,18 +12,24 @@ The tabular policy factors an episode into categorical decisions:
 
 Decisions are distributions over the *texts* they produce: positions that
 yield the same evidence string pool their probability mass, so replayed
-log-probabilities match sampled ones exactly. Because episodes are short
-and heads are small, the trajectory space can be enumerated exhaustively,
-which makes marginal likelihoods and posteriors computable in closed form
-at desk scale.
+log-probabilities match sampled ones exactly.
+
+The next decision depends only on the hop and the current entity, so the
+trajectory space folds onto a lattice of at most budget x (#entities + 1)
+(hop, entity) states. A forward-backward pass over it (:class:`Lattice`)
+gives the marginal likelihood of the gold answers, the posterior expected
+counts of every head and the ELBO in closed form at any budget. Exhaustive
+enumeration of the trajectories (:meth:`TabularPolicy.enumerate_trajectories`)
+is kept as the independent oracle at desk scale.
 
 Logits of -1e9 underflow to probability 0.0 exactly and such branches are
-pruned from enumeration, so deterministic policies stay expressible with
-finite logits.
+pruned from enumeration and from the lattice, so deterministic policies stay
+expressible with finite logits.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -211,8 +217,8 @@ class TabularPolicy:
             return state.history.steps[-1].evidence
         return question_start_entity(state.question)
 
-    def _answer_texts(self, trajectory: Trajectory) -> tuple[str, str]:
-        return trajectory.last_evidence, ABSTAIN
+    def _answer_texts(self, last_evidence: str) -> tuple[str, str]:
+        return last_evidence, ABSTAIN
 
     # -- decision sampling -----------------------------------------------------
 
@@ -244,7 +250,7 @@ class TabularPolicy:
     def answer(self, question: str, trajectory: Trajectory,
                rng: np.random.Generator) -> PolicyDecision:
         probs = self.answer_probs()
-        texts = self._answer_texts(trajectory)
+        texts = self._answer_texts(trajectory.last_evidence)
         idx = int(rng.choice(len(probs), p=probs))
         mass = sum(p for p, text in zip(probs, texts) if text == texts[idx])
         return PolicyDecision(choice=texts[idx], log_prob=math.log(mass))
@@ -255,8 +261,12 @@ class TabularPolicy:
         Returns the representable floor (-1e9) when y is outside the support,
         meaning this trajectory cannot produce y.
         """
+        return self.answer_log_mass(trajectory.last_evidence, y)
+
+    def answer_log_mass(self, last_evidence: str, y: str) -> float:
+        """:meth:`score_answer` for any trajectory ending on ``last_evidence``."""
         probs = self.answer_probs()
-        texts = self._answer_texts(trajectory)
+        texts = self._answer_texts(last_evidence)
         mass = sum(p for p, text in zip(probs, texts) if text == y)
         return math.log(mass) if mass > 0.0 else LOG_FLOOR
 
@@ -363,8 +373,11 @@ class TabularPolicy:
 
         Leaves are mutually exclusive and probability-complete: their
         linear-domain probabilities sum to 1 (within float error). Branches
-        of probability exactly 0 are pruned. The document-selection action
-        is not part of the enumerated process.
+        of probability exactly 0 are pruned. The agent's document selection
+        (``rerank``) and its stop on a repeated sub-query (``dedup``) are
+        outside both the enumerated process and the :class:`Lattice`. This
+        is the oracle the lattice is checked against; its cost grows as
+        ((#relations + 1) * k) ** budget, hence ``cap``.
         """
         question = example.question if isinstance(example, Example) else example
         bound = self.enumeration_bound(budget, k)
@@ -378,7 +391,8 @@ class TabularPolicy:
             trajectory = Trajectory(question=question, steps=steps,
                                     terminated=True, budget=budget)
             masses: dict[str, float] = {}
-            for p, text in zip(answer_probs, self._answer_texts(trajectory)):
+            texts = self._answer_texts(trajectory.last_evidence)
+            for p, text in zip(answer_probs, texts):
                 masses[text] = masses.get(text, 0.0) + float(p)
             for text, mass in masses.items():
                 if mass > 0.0:
@@ -435,3 +449,202 @@ class TabularPolicy:
         leaves = self.enumerate_trajectories(example, retriever, budget, k, cap)
         terms = [lp for _t, answer, lp in leaves if answer in golds]
         return logsumexp(terms)
+
+
+@dataclass
+class ExpectedCounts:
+    """Expected number of times each outcome of each head is chosen,
+    shaped like the logits of the heads."""
+
+    think: np.ndarray
+    record: np.ndarray
+    answer: np.ndarray
+
+    @classmethod
+    def zeros(cls, params: TabularPolicyParams) -> "ExpectedCounts":
+        return cls(np.zeros_like(params.think_logits),
+                   np.zeros_like(params.record_logits),
+                   np.zeros_like(params.answer_logits))
+
+    def add(self, other: "ExpectedCounts") -> None:
+        self.think += other.think
+        self.record += other.record
+        self.answer += other.answer
+
+
+def add_split(counts: np.ndarray, probs, matched: Sequence[int], weight: float) -> None:
+    """Add ``weight`` to the outcomes ``matched``, split in proportion to
+    ``probs`` (evenly when they all have probability 0): the expectation
+    within one factor whose outcomes yield the same text."""
+    mass = sum(probs[j] for j in matched)
+    for j in matched:
+        share = probs[j] / mass if mass > 0 else 1.0 / len(matched)
+        counts[j] += weight * share
+
+
+class Lattice:
+    """One example's trajectories under one policy, folded onto states.
+
+    The state before hop h is (h, current entity): the question's first
+    token at hop 1, then the last evidence, and "" after an empty retrieval.
+    The last evidence is "" at hop 1 and the current entity after that. A
+    state's edges are think (relation) x retrieval (through the retriever's
+    cache) x record, where the record head pools the positions that yield
+    the same evidence text; a path ends with STOP at hop h <= budget or by
+    running out of budget, and each end carries the answer head's mass on
+    the gold texts. Branches of probability 0 are pruned as enumeration
+    prunes them, and ``record_probs`` raises UnrealizableTrajectory on the
+    same branches.
+
+    Construction runs the forward pass: :attr:`log_marginal` is
+    log p(gold | x), or LOG_FLOOR when no path reaches a gold answer. The
+    backward pass runs on first use of :attr:`posterior`; it gives the
+    posterior mass of every edge given the gold answers, aggregated as
+    :meth:`counts` and :meth:`elbo` need it. A lattice has no signal
+    (:attr:`posterior` is None) when no path reaches a gold answer.
+    """
+
+    def __init__(self, policy: TabularPolicy, example: Example,
+                 retriever: Retriever, budget: int, k: int):
+        self.policy = policy
+        self.golds = tuple(dict.fromkeys(example.gold_answers))
+        self._answer = policy.answer_probs().tolist()
+        self._end_logp: dict[str, float | None] = {}
+        stop = len(policy.relations)
+        records: dict[int, list[float]] = {}
+        # layers[h - 1] holds (entity, log alpha, log-prob of its gold end or
+        # None, moves) for every state before hop h, h = 1..budget + 1. The
+        # end is STOP then the answer up to the budget, the answer alone
+        # after it. A move is (relation index, record key, next entity,
+        # log-prob); the record key (number of documents, positions yielding
+        # the evidence) is None after an empty retrieval, which has no record
+        # decision.
+        self.layers: list[list[tuple[str, float, float | None, list]]] = []
+        frontier = {question_start_entity(example.question): 0.0}
+        ends: list[float] = []
+        for hop in range(1, budget + 2):
+            probs = policy.think_probs(hop).tolist()
+            incoming: dict[str, list[float]] = {}
+            layer = []
+            for entity, log_alpha in frontier.items():
+                end = self.end_logp("" if hop == 1 else entity)
+                if hop <= budget and end is not None:
+                    end = math.log(probs[stop]) + end if probs[stop] > 0.0 else None
+                if end is not None:
+                    ends.append(log_alpha + end)
+                moves = []
+                for idx, relation in enumerate(policy.relations if hop <= budget else ()):
+                    p_rel = probs[idx]
+                    if p_rel == 0.0:
+                        continue
+                    hits = retriever.search(f"{entity} {relation}", k)
+                    if not hits:
+                        moves.append((idx, None, "", math.log(p_rel)))
+                        continue
+                    docs = retriever.resolve(hits)
+                    if len(docs) not in records:
+                        records[len(docs)] = policy.record_probs(len(docs)).tolist()
+                    rec = records[len(docs)]
+                    positions: dict[str, list[int]] = {}
+                    for j, doc in enumerate(docs):
+                        positions.setdefault(passage_object(doc), []).append(j)
+                    for evidence, js in positions.items():
+                        mass = sum(rec[j] for j in js)
+                        if mass == 0.0:
+                            continue
+                        moves.append((idx, (len(docs), tuple(js)), evidence,
+                                      math.log(p_rel) + math.log(mass)))
+                for _idx, _key, nxt, logp in moves:
+                    incoming.setdefault(nxt, []).append(log_alpha + logp)
+                layer.append((entity, log_alpha, end, moves))
+            self.layers.append(layer)
+            frontier = {e: logsumexp(terms) for e, terms in incoming.items()}
+        self.log_marginal = logsumexp(ends)
+        self.has_signal = bool(ends)
+
+    def end_logp(self, last_evidence: str) -> float | None:
+        """log of the answer head's mass on the gold texts after
+        ``last_evidence``; None when that mass is 0."""
+        if last_evidence not in self._end_logp:
+            texts = self.policy._answer_texts(last_evidence)
+            mass = sum(p for p, text in zip(self._answer, texts) if text in self.golds)
+            self._end_logp[last_evidence] = math.log(mass) if mass > 0.0 else None
+        return self._end_logp[last_evidence]
+
+    @functools.cached_property
+    def posterior(self) -> tuple[np.ndarray, dict, dict[str, float]] | None:
+        """The backward pass: posterior mass given the gold answers of each
+        think outcome (by think row), of each record factor (by record key)
+        and of each end (by its last evidence); None without signal."""
+        if not self.has_signal:
+            return None
+        params = self.policy.params
+        rows = params.think_logits.shape[0]
+        stop = len(self.policy.relations)
+        budget = len(self.layers) - 1
+        think = np.zeros_like(params.think_logits)
+        record: dict[tuple[int, tuple[int, ...]], float] = {}
+        ends: dict[str, float] = {}
+        after: dict[str, float] = {}  # log beta of the states after this hop
+        for hop in range(budget + 1, 0, -1):
+            row = min(hop, rows) - 1
+            before = {}
+            for entity, log_alpha, end, moves in self.layers[hop - 1]:
+                terms = []
+                if end is not None:
+                    terms.append(end)
+                    q = math.exp(log_alpha + end - self.log_marginal)
+                    if hop <= budget:
+                        think[row, stop] += q
+                    last = "" if hop == 1 else entity
+                    ends[last] = ends.get(last, 0.0) + q
+                for idx, key, nxt, logp in moves:
+                    if nxt not in after:
+                        continue
+                    terms.append(logp + after[nxt])
+                    q = math.exp(log_alpha + terms[-1] - self.log_marginal)
+                    think[row, idx] += q
+                    if key is not None:
+                        record[key] = record.get(key, 0.0) + q
+                if terms:
+                    before[entity] = logsumexp(terms)
+            after = before
+        return think, record, ends
+
+    def counts(self) -> ExpectedCounts | None:
+        """Posterior expected counts of every head. Record and answer counts
+        are split within a factor in proportion to the probabilities of the
+        policy that built the lattice."""
+        if self.posterior is None:
+            return None
+        think, record, ends = self.posterior
+        counts = ExpectedCounts.zeros(self.policy.params)
+        counts.think += think
+        for (n_docs, positions), q in record.items():
+            add_split(counts.record, self.policy.record_probs(n_docs), positions, q)
+        for last, q in ends.items():
+            matched = [i for i, text in enumerate(self.policy._answer_texts(last))
+                       if text in self.golds]
+            add_split(counts.answer, self._answer, matched, q)
+        return counts
+
+    def elbo(self, policy: TabularPolicy) -> float | None:
+        """Sum over edges of posterior mass x log-probability under
+        ``policy``, with LOG_FLOOR where ``trajectory_log_prob`` and
+        ``score_answer`` use it; None without signal."""
+        if self.posterior is None:
+            return None
+        think, record, ends = self.posterior
+        total = 0.0
+        for row in range(think.shape[0]):
+            probs = policy.think_probs(row + 1)
+            for col in np.flatnonzero(think[row]):
+                p = probs[col]
+                total += think[row, col] * (math.log(p) if p > 0.0 else LOG_FLOOR)
+        for (n_docs, positions), q in record.items():
+            rec = policy.record_probs(n_docs)
+            mass = sum(rec[j] for j in positions)
+            total += q * (math.log(mass) if mass > 0.0 else LOG_FLOOR)
+        for last, q in ends.items():
+            total += q * logsumexp(policy.answer_log_mass(last, g) for g in self.golds)
+        return total

@@ -3,13 +3,21 @@ re-weighted closed-form updates for the tabular policy, likelihood/ELBO
 tracking, early stopping, and weighted training-data export.
 
 Each iteration explores trajectories under the current policy (sampled
-episodes, or exhaustive enumeration when the world is small enough), weights
-them by how well they support the gold answer, and refits the policy's
-categorical heads on the weighted choices. Weights are normalized per
-example with a max-subtracted softmax over the raw log-weights. With
-exact-enumeration weighting and the closed-form update, the mean training
-log-likelihood is non-decreasing across iterations (up to the additive
-smoothing, which is kept tiny to avoid zero-probability lock-in).
+episodes, or the exact posterior over all of them), weights them by how well
+they support the gold answer, and refits the policy's categorical heads on
+the weighted choices. Weights are normalized per example with a
+max-subtracted softmax over the raw log-weights. With exact weighting and
+the closed-form update, the mean training log-likelihood is non-decreasing
+across iterations (up to the additive smoothing, which is kept tiny to avoid
+zero-probability lock-in).
+
+In exact mode :func:`em_train` runs one forward-backward pass per example
+and parameter set on the policy's (hop, entity) :class:`~.policy.Lattice`:
+the pass gives the expected counts, the ELBO and the log-likelihood, so no
+trajectory is enumerated. ``e_step`` in ``exact-enumeration`` mode,
+:func:`m_step_tabular` and :func:`compute_elbo` enumerate or replay
+trajectories; they stay as the oracle the lattice is checked against, and
+only they are bounded by ``TrainConfig.enumeration_cap``.
 
 Raw weights come in two families: ``posterior-logprob`` uses the policy's
 own log-likelihood of the gold answer given the trajectory, while the
@@ -35,8 +43,11 @@ from .metrics import accuracy, exact_match, token_f1
 from .policy import (
     ABSTAIN,
     LOG_FLOOR,
+    ExpectedCounts,
+    Lattice,
     TabularPolicy,
     TabularPolicyParams,
+    add_split,
     logsumexp,
     passage_object,
     question_start_entity,
@@ -75,7 +86,7 @@ class TrainConfig:
     early_stop_min_delta: float = 1e-6
     validation_metric: str = "loglik"
     smoothing: float = 1e-3
-    enumeration_cap: int = 1_000_000
+    enumeration_cap: int = 1_000_000  # bounds the enumeration oracle only
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -224,9 +235,9 @@ def e_step(examples: Sequence[Example], policy, retriever: Retriever,
     isolated RNG streams (:func:`explore`) and weights them (:func:`weigh`);
     an example whose endpoint cannot score log-probabilities is weighted
     under ``reward-em`` instead. Exact mode enumerates the full trajectory
-    space and weights each trajectory by the true posterior given the gold
-    answer. Per-example failures are recorded on the batch and never abort
-    the run.
+    space (up to ``enumeration_cap``) and weights each trajectory by the
+    true posterior given the gold answer. Per-example failures are recorded
+    on the batch and never abort the run.
     """
     if not examples:
         raise ValueError("e_step needs a non-empty dataset")
@@ -278,25 +289,21 @@ def _updated_logits(old_row: np.ndarray, counts: np.ndarray, smoothing: float,
     return temperature * np.log(probs)
 
 
-def m_step_tabular(params: TabularPolicyParams, batches: Sequence[ExampleBatch],
-                   relations: Sequence[str], retriever: Retriever,
-                   smoothing: float = 1e-3) -> TabularPolicyParams:
-    """Closed-form categorical update from weighted choices.
+def expected_counts(params: TabularPolicyParams, batches: Sequence[ExampleBatch],
+                    relations: Sequence[str], retriever: Retriever) -> ExpectedCounts:
+    """Weighted counts of the outcomes chosen along each batch's trajectories.
 
-    Each head's new probability is the smoothed, normalized weighted count
-    of its chosen outcomes; heads (or think rows) that received no weight
-    keep their prior logits. The answer head counts the outcomes that
-    produce the weighting target: the gold answer under posterior weighting,
-    the sampled answer under reward weighting. Where several outcomes yield
-    the same text, weight is split in proportion to the current policy's
-    probabilities (the within-factor expectation).
+    Batches without signal are skipped. The answer head counts the outcomes
+    that produce the weighting target: the gold answer under posterior
+    weighting, the sampled answer under reward weighting. Where several
+    outcomes yield the same text, weight is split in proportion to the
+    probabilities under ``params`` (the within-factor expectation).
     """
     policy = TabularPolicy(params, relations)
     stop_col = len(relations)
-    think_counts = np.zeros_like(params.think_logits)
-    record_counts = np.zeros_like(params.record_logits)
-    answer_counts = np.zeros_like(params.answer_logits)
+    counts = ExpectedCounts.zeros(params)
     rows = params.think_logits.shape[0]
+    ans_probs = policy.answer_probs()
 
     for batch in batches:
         if not _batch_has_signal(batch):
@@ -311,7 +318,7 @@ def m_step_tabular(params: TabularPolicyParams, batches: Sequence[ExampleBatch],
             for step in trajectory.steps:
                 relation = policy.relation_of(step.sub_query, entity)
                 row = min(step.hop, rows) - 1
-                think_counts[row, relations.index(relation)] += w
+                counts.think[row, relations.index(relation)] += w
                 if step.retrieved:
                     if step.selected is not None:
                         docs = [retriever.get(pid) for pid in step.selected]
@@ -324,10 +331,7 @@ def m_step_tabular(params: TabularPolicyParams, batches: Sequence[ExampleBatch],
                         raise UnrealizableTrajectory(
                             f"evidence {step.evidence!r} not producible at hop "
                             f"{step.hop} of example {batch.example.id}")
-                    mass = sum(rec_probs[j] for j in matched)
-                    for j in matched:
-                        share = rec_probs[j] / mass if mass > 0 else 1.0 / len(matched)
-                        record_counts[j] += w * share
+                    add_split(counts.record, rec_probs, matched, w)
                 elif step.evidence != "":
                     raise UnrealizableTrajectory(
                         f"evidence recorded without documents at hop {step.hop} "
@@ -335,32 +339,45 @@ def m_step_tabular(params: TabularPolicyParams, batches: Sequence[ExampleBatch],
                 entity = step.evidence
             if len(trajectory.steps) < trajectory.budget:
                 row = min(len(trajectory.steps) + 1, rows) - 1
-                think_counts[row, stop_col] += w
+                counts.think[row, stop_col] += w
 
             if wt.weight_mode.startswith("reward-"):
                 targets = {wt.answer}
             else:
                 targets = golds
             texts = (trajectory.last_evidence, ABSTAIN)
-            ans_probs = policy.answer_probs()
             matched = [i for i, text in enumerate(texts) if text in targets]
             if matched:
-                mass = sum(ans_probs[i] for i in matched)
-                for i in matched:
-                    share = ans_probs[i] / mass if mass > 0 else 1.0 / len(matched)
-                    answer_counts[i] += w * share
+                add_split(counts.answer, ans_probs, matched, w)
+    return counts
 
+
+def update_from_counts(params: TabularPolicyParams, counts: ExpectedCounts,
+                       smoothing: float = 1e-3) -> TabularPolicyParams:
+    """Closed-form categorical update: each head's new probability is the
+    smoothed, normalized count of its outcomes; heads (or think rows) with
+    no counts keep their prior logits."""
+    rows = params.think_logits.shape[0]
     new_think = np.vstack([
-        _updated_logits(params.think_logits[r], think_counts[r], smoothing,
+        _updated_logits(params.think_logits[r], counts.think[r], smoothing,
                         params.temperature)
         for r in range(rows)])
-    new_record = _updated_logits(params.record_logits, record_counts, smoothing,
+    new_record = _updated_logits(params.record_logits, counts.record, smoothing,
                                  params.temperature)
-    new_answer = _updated_logits(params.answer_logits, answer_counts, smoothing,
+    new_answer = _updated_logits(params.answer_logits, counts.answer, smoothing,
                                  params.temperature)
     return TabularPolicyParams(think_logits=new_think, record_logits=new_record,
                                answer_logits=new_answer,
                                temperature=params.temperature)
+
+
+def m_step_tabular(params: TabularPolicyParams, batches: Sequence[ExampleBatch],
+                   relations: Sequence[str], retriever: Retriever,
+                   smoothing: float = 1e-3) -> TabularPolicyParams:
+    """Closed-form categorical update from weighted choices:
+    :func:`update_from_counts` of :func:`expected_counts`."""
+    return update_from_counts(
+        params, expected_counts(params, batches, relations, retriever), smoothing)
 
 
 def compute_elbo(policy: TabularPolicy, batches: Sequence[ExampleBatch],
@@ -391,22 +408,27 @@ def posterior_entropy(weights: Iterable[float]) -> float:
     return float(-sum(w * np.log(w) for w in weights if w > 0.0))
 
 
+def _lattices(policy: TabularPolicy, examples: Sequence[Example],
+              retriever: Retriever, agent_config: AgentConfig) -> list[Lattice]:
+    return [Lattice(policy, ex, retriever, agent_config.budget, agent_config.k)
+            for ex in examples]
+
+
+def _mean_loglik(lattices: Sequence[Lattice]) -> float:
+    return float(np.mean([lat.log_marginal for lat in lattices]))
+
+
 def mean_train_loglik(policy: TabularPolicy, examples: Sequence[Example],
-                      retriever: Retriever, agent_config: AgentConfig,
-                      cap: int = 1_000_000) -> float:
-    """Mean exact log-marginal of the gold answers, by enumeration."""
-    return float(np.mean([
-        policy.exact_marginal_set(ex, retriever, agent_config.budget,
-                                  agent_config.k, cap)
-        for ex in examples]))
+                      retriever: Retriever, agent_config: AgentConfig) -> float:
+    """Mean exact log-marginal of the gold answers, by the lattice's forward pass."""
+    return _mean_loglik(_lattices(policy, examples, retriever, agent_config))
 
 
 def _validation_score(policy, examples: Sequence[Example], retriever: Retriever,
                       config: TrainConfig, agent_config: AgentConfig,
                       seed: int, iteration: int) -> float:
     if config.validation_metric == "loglik":
-        return mean_train_loglik(policy, examples, retriever, agent_config,
-                                 config.enumeration_cap)
+        return mean_train_loglik(policy, examples, retriever, agent_config)
     metric = exact_match if config.validation_metric == "em" else accuracy
     scores = []
     for ex in examples:
@@ -416,6 +438,19 @@ def _validation_score(policy, examples: Sequence[Example], retriever: Retriever,
     return float(np.mean(scores))
 
 
+def _lattice_iteration(policy: TabularPolicy, lattices: Sequence[Lattice],
+                       smoothing: float) -> tuple[TabularPolicy, float]:
+    """The exact E- and M-step from lattices built under ``policy``: the
+    updated policy and the ELBO of the lattices' posteriors under it."""
+    counts = ExpectedCounts.zeros(policy.params)
+    signal = [lat for lat in lattices if lat.has_signal]
+    for lat in signal:
+        counts.add(lat.counts())
+    policy = policy.with_params(update_from_counts(policy.params, counts, smoothing))
+    elbo = float(np.mean([lat.elbo(policy) for lat in signal])) if signal else 0.0
+    return policy, elbo
+
+
 def em_train(examples: Sequence[Example], policy: TabularPolicy,
              retriever: Retriever, config: TrainConfig,
              agent_config: AgentConfig, seed: int = 0,
@@ -423,30 +458,46 @@ def em_train(examples: Sequence[Example], policy: TabularPolicy,
              jobs: int = 1) -> tuple[list[IterationReport], TabularPolicyParams]:
     """Alternate exploration and re-weighted updates for up to N iterations.
 
+    In exact mode each iteration takes the expected counts from every
+    example's lattice under the current parameters, updates the parameters,
+    scores the ELBO of the same posteriors under the new ones, and builds
+    the lattices under the new parameters once: they give ``train_loglik``,
+    the ``loglik`` validation score when validation uses the training set,
+    and the next iteration's E-step.
+
     Stops early when the validation metric fails to improve for
     ``early_stop_patience`` consecutive iterations (patience 0 disables).
     Returns one report per completed iteration plus the final parameters.
     """
+    exact = config.e_step_mode == "exact-enumeration"
     val = list(val_examples) if val_examples is not None else list(examples)
+    lattices = None
     reports: list[IterationReport] = []
     best: float | None = None
     streak = 0
     for iteration in range(config.iterations):
         started = time.perf_counter()
-        batches = e_step(examples, policy, retriever, config, agent_config,
-                         seed=seed,
-                         sample_base=iteration * config.samples_per_example,
-                         jobs=jobs)
-        new_params = m_step_tabular(policy.params, batches, policy.relations,
-                                    retriever, config.smoothing)
-        policy = policy.with_params(new_params)
-        elbo = compute_elbo(policy, batches, retriever)
-        train_loglik = (
-            mean_train_loglik(policy, examples, retriever, agent_config,
-                              config.enumeration_cap)
-            if config.e_step_mode == "exact-enumeration" else None)
-        score = _validation_score(policy, val, retriever, config, agent_config,
-                                  seed, iteration)
+        train_loglik = None
+        if exact:
+            if lattices is None:
+                lattices = _lattices(policy, examples, retriever, agent_config)
+            policy, elbo = _lattice_iteration(policy, lattices, config.smoothing)
+            lattices = _lattices(policy, examples, retriever, agent_config)
+            train_loglik = _mean_loglik(lattices)
+        else:
+            batches = e_step(examples, policy, retriever, config, agent_config,
+                             seed=seed,
+                             sample_base=iteration * config.samples_per_example,
+                             jobs=jobs)
+            new_params = m_step_tabular(policy.params, batches, policy.relations,
+                                        retriever, config.smoothing)
+            policy = policy.with_params(new_params)
+            elbo = compute_elbo(policy, batches, retriever)
+        if exact and val_examples is None and config.validation_metric == "loglik":
+            score = train_loglik
+        else:
+            score = _validation_score(policy, val, retriever, config, agent_config,
+                                      seed, iteration)
         reports.append(IterationReport(
             iteration=iteration, train_loglik=train_loglik, elbo=elbo,
             validation_score=score, wall_time=time.perf_counter() - started))

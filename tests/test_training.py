@@ -3,15 +3,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import chain_following_policy, chain_world, one_hot, uniform_policy
 from exsearch.agent import AgentConfig
-from exsearch.errors import MissingAnnotation
-from exsearch.policy import LOG_FLOOR, PolicyDecision, TabularPolicy, TabularPolicyParams
+from exsearch.errors import MissingAnnotation, UnrealizableTrajectory
+from exsearch.policy import (
+    ABSTAIN,
+    LOG_FLOOR,
+    ExpectedCounts,
+    Lattice,
+    PolicyDecision,
+    TabularPolicy,
+    TabularPolicyParams,
+)
 from exsearch.retrieval import Retriever, build_index
-from exsearch.synth import SyntheticWorld, render_corpus
+from exsearch.synth import SyntheticWorld, generate_world, render_corpus
 from exsearch.trajectory import Example, Passage, parse_transcript
 from exsearch.training import (
     ExampleBatch,
@@ -19,10 +27,13 @@ from exsearch.training import (
     compute_elbo,
     e_step,
     em_train,
+    expected_counts,
     export_weighted_sft,
     m_step_tabular,
+    mean_train_loglik,
     normalize_weights,
     posterior_entropy,
+    update_from_counts,
     warmup_format,
     write_history_csv,
 )
@@ -574,3 +585,180 @@ class TestSharedChatPolicy:
         assert all(wt.log_weight == 1.0 for b in serial for wt in b.items)
         for a, b in zip(serial, parallel):
             assert a.items == b.items
+
+
+@st.composite
+def lattice_rigs(draw):
+    """A random small world with random finite parameters and examples.
+
+    Some logits are -1e9, so their branches are pruned; the relation "relx"
+    appears in no passage, so "nobody relx" (and " relx" after it) retrieves
+    nothing; golds may be "" or ABSTAIN; the record head may be shorter than
+    k, which makes some worlds unrealizable.
+    """
+    n_entities = draw(st.integers(3, 8))
+    n_relations = draw(st.integers(2, 3))
+    density = draw(st.floats(0.5, 1.0))
+    budget = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    world = generate_world(n_entities, n_relations, 1, density,
+                           int(rng.integers(0, 2**31)))
+    relations = world.relations + (("relx",) if draw(st.booleans()) else ())
+    starts = list(world.entities) + ["nobody"]
+    answers = list(world.entities) + ["", ABSTAIN]
+    examples = []
+    for i in range(int(rng.integers(1, 4))):
+        start = starts[rng.integers(len(starts))]
+        golds = [answers[j] for j in rng.integers(len(answers), size=rng.integers(1, 3))]
+        examples.append(Example(id=f"q{i}", question=f"{start} {relations[0]}",
+                                gold_answers=tuple(golds)))
+    heads = [rng.normal(0.0, 2.0, size=(draw(st.integers(1, budget + 1)),
+                                         len(relations) + 1)),
+             rng.normal(0.0, 2.0, size=draw(st.sampled_from([k, k, k, k + 1,
+                                                             max(1, k - 1)]))),
+             rng.normal(0.0, 2.0, size=2)]
+    for head in heads:
+        head[rng.random(head.shape) < 0.2] = -1e9
+    params = TabularPolicyParams(*heads, temperature=draw(st.sampled_from([1.0, 0.5, 2.0])))
+    retriever = Retriever(build_index(render_corpus(world)))
+    return TabularPolicy(params, relations), examples, retriever, budget, k
+
+
+def lattice_counts(lattices, params):
+    counts = ExpectedCounts.zeros(params)
+    for lat in lattices:
+        if lat.has_signal:
+            counts.add(lat.counts())
+    return counts
+
+
+def assert_params_close(a, b, atol=1e-9):
+    for name in ("think_logits", "record_logits", "answer_logits"):
+        np.testing.assert_allclose(getattr(a, name), getattr(b, name), rtol=0, atol=atol)
+
+
+def reference_em(examples, policy, retriever, config, acfg):
+    """em_train's exact mode as enumeration, replay and exact marginals."""
+    reports = []
+    for iteration in range(config.iterations):
+        batches = e_step(examples, policy, retriever, config, acfg)
+        policy = policy.with_params(m_step_tabular(policy.params, batches,
+                                                   policy.relations, retriever,
+                                                   config.smoothing))
+        elbo = compute_elbo(policy, batches, retriever)
+        loglik = float(np.mean([policy.exact_marginal_set(ex, retriever, acfg.budget,
+                                                          acfg.k)
+                                for ex in examples]))
+        reports.append((iteration, loglik, elbo, loglik))
+    return reports, policy.params
+
+
+class TestLatticeOracle:
+    """The (hop, entity) lattice against trajectory enumeration, within 1e-9."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(lattice_rigs())
+    def test_lattice_matches_enumeration(self, rig):
+        policy, examples, retriever, budget, k = rig
+        acfg = AgentConfig(budget=budget, k=k)
+        try:
+            marginals = [policy.exact_marginal_set(ex, retriever, budget, k)
+                         for ex in examples]
+        except UnrealizableTrajectory:
+            with pytest.raises(UnrealizableTrajectory):
+                for ex in examples:
+                    Lattice(policy, ex, retriever, budget, k)
+            return
+        lattices = [Lattice(policy, ex, retriever, budget, k) for ex in examples]
+        for lat, marginal in zip(lattices, marginals):
+            assert lat.log_marginal == pytest.approx(marginal, rel=0, abs=1e-9)
+        assert mean_train_loglik(policy, examples, retriever, acfg) == pytest.approx(
+            float(np.mean(marginals)), rel=0, abs=1e-9)
+
+        batches = e_step(examples, policy, retriever,
+                         TrainConfig(e_step_mode="exact-enumeration"), acfg)
+        enumerated = expected_counts(policy.params, batches, policy.relations, retriever)
+        counts = lattice_counts(lattices, policy.params)
+        for head in ("think", "record", "answer"):
+            np.testing.assert_allclose(getattr(counts, head), getattr(enumerated, head),
+                                       rtol=0, atol=1e-9)
+
+        updated = m_step_tabular(policy.params, batches, policy.relations, retriever)
+        assert_params_close(update_from_counts(policy.params, counts), updated)
+
+        # The reversed heads put probability 0 on some posterior-supported
+        # decisions, which both sides score at LOG_FLOOR.
+        p = policy.params
+        reversed_heads = TabularPolicyParams(p.think_logits[::-1, ::-1],
+                                             p.record_logits[::-1],
+                                             p.answer_logits[::-1], p.temperature)
+        signal = [lat for lat in lattices if lat.has_signal]
+        for scorer, rel in ((policy, 0), (policy.with_params(updated), 0),
+                            (policy.with_params(reversed_heads), 1e-12)):
+            elbo = float(np.mean([lat.elbo(scorer) for lat in signal])) if signal else 0.0
+            assert elbo == pytest.approx(compute_elbo(scorer, batches, retriever),
+                                         rel=rel, abs=1e-9)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(lattice_rigs(), st.integers(1, 3))
+    def test_em_train_matches_reference_loop(self, rig, iterations):
+        policy, examples, retriever, budget, k = rig
+        acfg = AgentConfig(budget=budget, k=k)
+        config = TrainConfig(iterations=iterations, e_step_mode="exact-enumeration",
+                             early_stop_patience=0, validation_metric="loglik")
+        try:
+            expected, expected_params = reference_em(examples, policy, retriever,
+                                                     config, acfg)
+        except UnrealizableTrajectory:
+            with pytest.raises(UnrealizableTrajectory):
+                em_train(examples, policy, retriever, config, acfg)
+            return
+        reports, params = em_train(examples, policy, retriever, config, acfg)
+        got = [(r.iteration, r.train_loglik, r.elbo, r.validation_score)
+               for r in reports]
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a[0] == b[0]
+            assert a[1:] == pytest.approx(b[1:], rel=0, abs=1e-9)
+        assert_params_close(params, expected_params)
+
+
+class TestExactTraining:
+    def test_exact_em_train_never_enumerates(self, monkeypatch):
+        calls = []
+        original = TabularPolicy.enumerate_trajectories
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[0])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TabularPolicy, "enumerate_trajectories", counting)
+        world, questions, retriever = chain_world(seed=1, n_questions=4)
+        acfg = AgentConfig(budget=2, k=3)
+        config = TrainConfig(iterations=3, e_step_mode="exact-enumeration",
+                             early_stop_patience=0, validation_metric="loglik")
+        reports, params = em_train(questions[:2], uniform_policy(world, 2, 3),
+                                   retriever, config, acfg, val_examples=questions[2:])
+        assert calls == []
+        # the separate validation set is scored by the lattice's forward pass
+        trained = TabularPolicy(params, world.relations)
+        assert reports[-1].validation_score == pytest.approx(
+            float(np.mean([trained.exact_marginal_set(ex, retriever, 2, 3)
+                           for ex in questions[2:]])), rel=0, abs=1e-9)
+        assert calls
+
+    def test_exact_mode_trains_at_budget_six(self):
+        # Enumeration would need ((4 + 1) * 3) ** 6 * 2 = 22,781,250 leaves,
+        # beyond the 1,000,000 cap; the lattice has at most 6 x 101 states.
+        world, questions, retriever = chain_world(seed=0, n_entities=100,
+                                                  n_relations=4, n_questions=6)
+        config = TrainConfig(iterations=5, e_step_mode="exact-enumeration",
+                             early_stop_patience=0, validation_metric="loglik")
+        reports, _ = em_train(questions, uniform_policy(world, budget=6, k=3),
+                              retriever, config, AgentConfig(budget=6, k=3))
+        lls = [r.train_loglik for r in reports]
+        assert len(lls) == 5
+        assert all(b - a >= -1e-9 for a, b in zip(lls, lls[1:]))
