@@ -14,6 +14,12 @@ Decisions are distributions over the *texts* they produce: positions that
 yield the same evidence string pool their probability mass, so replayed
 log-probabilities match sampled ones exactly.
 
+Mass on these decision factors is a :class:`FactorMass`.
+:meth:`TabularPolicy.replay` adds weighted trajectories to it and the
+lattice's backward pass adds the posterior; either way the same two methods
+turn it into expected counts (the M-step) and an expected log-probability
+(the ELBO and :meth:`TabularPolicy.trajectory_log_prob`).
+
 The next decision depends only on the hop and the current entity, so the
 trajectory space folds onto a lattice of at most budget x (#entities + 1)
 (hop, entity) states. A forward-backward pass over it (:class:`Lattice`)
@@ -32,7 +38,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -308,23 +314,21 @@ class TabularPolicy:
             raise UnrealizableTrajectory(f"unknown relation in sub-query {sub_query!r}")
         return relation
 
-    def trajectory_log_prob(self, trajectory: Trajectory, retriever: Retriever,
-                            answer: str | None = None) -> float:
-        """Replay a trajectory: sum of per-decision log-probs (+ answer term).
+    def replay(self, trajectory: Trajectory, retriever: Retriever,
+               mass: FactorMass, weight: float, targets: Sequence[str]) -> None:
+        """Add ``weight`` to every decision factor of ``trajectory`` in ``mass``:
+        each think cell, each record factor and, when ``targets`` is not
+        empty, the answer end that produces one of ``targets``.
 
         Raises UnrealizableTrajectory when the structure cannot arise under
         this policy and retriever (wrong sub-query shape, mismatched
         retrieval results, evidence absent from the retrieved documents).
-        Zero-probability but structurally valid decisions contribute the
-        -1e9 floor instead.
         """
-        total = 0.0
+        rows = self.params.think_logits.shape[0]
         entity = question_start_entity(trajectory.question)
         for step in trajectory.steps:
             relation = self.relation_of(step.sub_query, entity)
-            probs = self.think_probs(step.hop)
-            p = probs[self.relations.index(relation)]
-            total += math.log(p) if p > 0.0 else LOG_FLOOR
+            mass.think[min(step.hop, rows) - 1, self.relations.index(relation)] += weight
 
             expected = retriever.search(step.sub_query, max(1, len(step.retrieved)))
             got = [sp.passage_ref for sp in step.retrieved]
@@ -342,25 +346,34 @@ class TabularPolicy:
                     docs = [retriever.get(pid) for pid in step.selected]
                 else:
                     docs = retriever.resolve(step.retrieved)
-                rec = self.record_probs(len(docs))
-                matching = [p for p, doc in zip(rec, docs)
-                            if passage_object(doc) == step.evidence]
-                if not matching:
+                positions = tuple(j for j, doc in enumerate(docs)
+                                  if passage_object(doc) == step.evidence)
+                if not positions:
                     raise UnrealizableTrajectory(
                         f"evidence {step.evidence!r} not producible from the "
                         f"documents of hop {step.hop}")
-                mass = sum(matching)
-                total += math.log(mass) if mass > 0.0 else LOG_FLOOR
+                key = (len(docs), positions)
+                mass.record[key] = mass.record.get(key, 0.0) + weight
             entity = step.evidence
 
         if len(trajectory.steps) < trajectory.budget:
-            probs = self.think_probs(len(trajectory.steps) + 1)
-            p_stop = probs[len(self.relations)]
-            total += math.log(p_stop) if p_stop > 0.0 else LOG_FLOOR
+            mass.think[min(len(trajectory.steps) + 1, rows) - 1,
+                       len(self.relations)] += weight
+        if targets:
+            key = (trajectory.last_evidence, tuple(targets))
+            mass.ends[key] = mass.ends.get(key, 0.0) + weight
 
-        if answer is not None:
-            total += self.score_answer(trajectory.question, trajectory, answer)
-        return total
+    def trajectory_log_prob(self, trajectory: Trajectory, retriever: Retriever,
+                            answer: str | None = None) -> float:
+        """Replay a trajectory: sum of per-decision log-probs (+ answer term).
+
+        Raises UnrealizableTrajectory as :meth:`replay` does. Zero-probability
+        but structurally valid decisions contribute the -1e9 floor instead.
+        """
+        mass = FactorMass.zeros(self.params)
+        self.replay(trajectory, retriever, mass, 1.0,
+                    () if answer is None else (answer,))
+        return mass.log_prob(self)
 
     def enumeration_bound(self, budget: int, k: int) -> int:
         return ((len(self.relations) + 1) * max(1, k)) ** budget * 2
@@ -482,6 +495,54 @@ def add_split(counts: np.ndarray, probs, matched: Sequence[int], weight: float) 
         counts[j] += weight * share
 
 
+@dataclass
+class FactorMass:
+    """Mass on each decision factor of one or more trajectories: think
+    cells by (row, outcome), shaped like the think logits; record factors
+    by (number of documents, positions that yield the evidence); answer ends
+    by (last evidence, target texts). :meth:`TabularPolicy.replay` fills it
+    from trajectories and :attr:`Lattice.posterior` from a posterior."""
+
+    think: np.ndarray
+    record: dict[tuple[int, tuple[int, ...]], float] = field(default_factory=dict)
+    ends: dict[tuple[str, tuple[str, ...]], float] = field(default_factory=dict)
+
+    @classmethod
+    def zeros(cls, params: TabularPolicyParams) -> "FactorMass":
+        return cls(np.zeros_like(params.think_logits))
+
+    def counts(self, policy: TabularPolicy) -> ExpectedCounts:
+        """Expected counts of every head. Record and answer counts are split
+        within a factor in proportion to ``policy``'s probabilities."""
+        counts = ExpectedCounts.zeros(policy.params)
+        counts.think += self.think
+        for (n_docs, positions), q in self.record.items():
+            add_split(counts.record, policy.record_probs(n_docs), positions, q)
+        answer = policy.answer_probs()
+        for (last, targets), q in self.ends.items():
+            matched = [i for i, text in enumerate(policy._answer_texts(last))
+                       if text in targets]
+            add_split(counts.answer, answer, matched, q)
+        return counts
+
+    def log_prob(self, policy: TabularPolicy) -> float:
+        """Sum over factors of mass x log-probability under ``policy``, with
+        LOG_FLOOR for a factor of probability 0."""
+        total = 0.0
+        for row in range(self.think.shape[0]):
+            probs = policy.think_probs(row + 1)
+            for col in np.flatnonzero(self.think[row]):
+                p = probs[col]
+                total += self.think[row, col] * (math.log(p) if p > 0.0 else LOG_FLOOR)
+        for (n_docs, positions), q in self.record.items():
+            rec = policy.record_probs(n_docs)
+            mass = sum(rec[j] for j in positions)
+            total += q * (math.log(mass) if mass > 0.0 else LOG_FLOOR)
+        for (last, targets), q in self.ends.items():
+            total += q * logsumexp(policy.answer_log_mass(last, t) for t in targets)
+        return float(total)
+
+
 class Lattice:
     """One example's trajectories under one policy, folded onto states.
 
@@ -499,9 +560,10 @@ class Lattice:
     Construction runs the forward pass: :attr:`log_marginal` is
     log p(gold | x), or LOG_FLOOR when no path reaches a gold answer. The
     backward pass runs on first use of :attr:`posterior`; it gives the
-    posterior mass of every edge given the gold answers, aggregated as
-    :meth:`counts` and :meth:`elbo` need it. A lattice has no signal
-    (:attr:`posterior` is None) when no path reaches a gold answer.
+    posterior mass of every edge given the gold answers, aggregated on the
+    decision factors (a :class:`FactorMass`) that :meth:`counts` and
+    :meth:`elbo` read. A lattice has no signal (:attr:`posterior` is None)
+    when no path reaches a gold answer.
     """
 
     def __init__(self, policy: TabularPolicy, example: Example,
@@ -572,19 +634,16 @@ class Lattice:
         return self._end_logp[last_evidence]
 
     @functools.cached_property
-    def posterior(self) -> tuple[np.ndarray, dict, dict[str, float]] | None:
-        """The backward pass: posterior mass given the gold answers of each
-        think outcome (by think row), of each record factor (by record key)
-        and of each end (by its last evidence); None without signal."""
+    def posterior(self) -> FactorMass | None:
+        """The backward pass: the posterior mass given the gold answers of
+        every factor; None without signal."""
         if not self.has_signal:
             return None
-        params = self.policy.params
-        rows = params.think_logits.shape[0]
+        rows = self.policy.params.think_logits.shape[0]
         stop = len(self.policy.relations)
         budget = len(self.layers) - 1
-        think = np.zeros_like(params.think_logits)
-        record: dict[tuple[int, tuple[int, ...]], float] = {}
-        ends: dict[str, float] = {}
+        posterior = FactorMass.zeros(self.policy.params)
+        think, record, ends = posterior.think, posterior.record, posterior.ends
         after: dict[str, float] = {}  # log beta of the states after this hop
         for hop in range(budget + 1, 0, -1):
             row = min(hop, rows) - 1
@@ -596,8 +655,8 @@ class Lattice:
                     q = math.exp(log_alpha + end - self.log_marginal)
                     if hop <= budget:
                         think[row, stop] += q
-                    last = "" if hop == 1 else entity
-                    ends[last] = ends.get(last, 0.0) + q
+                    end_key = ("" if hop == 1 else entity, self.golds)
+                    ends[end_key] = ends.get(end_key, 0.0) + q
                 for idx, key, nxt, logp in moves:
                     if nxt not in after:
                         continue
@@ -609,42 +668,14 @@ class Lattice:
                 if terms:
                     before[entity] = logsumexp(terms)
             after = before
-        return think, record, ends
+        return posterior
 
     def counts(self) -> ExpectedCounts | None:
-        """Posterior expected counts of every head. Record and answer counts
-        are split within a factor in proportion to the probabilities of the
-        policy that built the lattice."""
-        if self.posterior is None:
-            return None
-        think, record, ends = self.posterior
-        counts = ExpectedCounts.zeros(self.policy.params)
-        counts.think += think
-        for (n_docs, positions), q in record.items():
-            add_split(counts.record, self.policy.record_probs(n_docs), positions, q)
-        for last, q in ends.items():
-            matched = [i for i, text in enumerate(self.policy._answer_texts(last))
-                       if text in self.golds]
-            add_split(counts.answer, self._answer, matched, q)
-        return counts
+        """Posterior expected counts of every head, split within a factor by
+        the policy that built the lattice; None without signal."""
+        return None if self.posterior is None else self.posterior.counts(self.policy)
 
     def elbo(self, policy: TabularPolicy) -> float | None:
-        """Sum over edges of posterior mass x log-probability under
-        ``policy``, with LOG_FLOOR where ``trajectory_log_prob`` and
-        ``score_answer`` use it; None without signal."""
-        if self.posterior is None:
-            return None
-        think, record, ends = self.posterior
-        total = 0.0
-        for row in range(think.shape[0]):
-            probs = policy.think_probs(row + 1)
-            for col in np.flatnonzero(think[row]):
-                p = probs[col]
-                total += think[row, col] * (math.log(p) if p > 0.0 else LOG_FLOOR)
-        for (n_docs, positions), q in record.items():
-            rec = policy.record_probs(n_docs)
-            mass = sum(rec[j] for j in positions)
-            total += q * (math.log(mass) if mass > 0.0 else LOG_FLOOR)
-        for last, q in ends.items():
-            total += q * logsumexp(policy.answer_log_mass(last, g) for g in self.golds)
-        return total
+        """The posterior's expected log-probability under ``policy``; None
+        without signal."""
+        return None if self.posterior is None else self.posterior.log_prob(policy)

@@ -14,10 +14,13 @@ zero-probability lock-in).
 In exact mode :func:`em_train` runs one forward-backward pass per example
 and parameter set on the policy's (hop, entity) :class:`~.policy.Lattice`:
 the pass gives the expected counts, the ELBO and the log-likelihood, so no
-trajectory is enumerated. ``e_step`` in ``exact-enumeration`` mode,
-:func:`m_step_tabular` and :func:`compute_elbo` enumerate or replay
-trajectories; they stay as the oracle the lattice is checked against, and
-only they are bounded by ``TrainConfig.enumeration_cap``.
+trajectory is enumerated. In sampled mode :func:`m_step_tabular` and
+:func:`compute_elbo` are the M-step and the ELBO: they replay each weighted
+trajectory into its decision factors and count and score those with the
+methods the lattice uses (:class:`~.policy.FactorMass`). Fed by ``e_step``
+in ``exact-enumeration`` mode, which alone is bounded by
+``TrainConfig.enumeration_cap``, they are the oracle the lattice is checked
+against.
 
 Raw weights come in two families: ``posterior-logprob`` uses the policy's
 own log-likelihood of the gold answer given the trajectory, while the
@@ -37,20 +40,17 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .agent import AgentConfig, EpisodeResult, episode_rng, run_episode
-from .errors import ExsearchError, LogprobsUnsupported, MissingAnnotation, UnrealizableTrajectory
+from .errors import ExsearchError, LogprobsUnsupported, MissingAnnotation
 from .llm import build_system_prompt, build_user_turn
 from .metrics import accuracy, exact_match, token_f1
 from .policy import (
-    ABSTAIN,
     LOG_FLOOR,
     ExpectedCounts,
+    FactorMass,
     Lattice,
     TabularPolicy,
     TabularPolicyParams,
-    add_split,
     logsumexp,
-    passage_object,
-    question_start_entity,
     softmax,
 )
 from .retrieval import Retriever
@@ -140,13 +140,6 @@ def normalize_weights(raw_log_weights: Sequence[float]) -> np.ndarray:
     return softmax(raw_log_weights)
 
 
-def score_answer_set(policy, question: str, trajectory: Trajectory,
-                     golds: Iterable[str]) -> float:
-    """log-probability mass the policy puts on any gold answer."""
-    return logsumexp(policy.score_answer(question, trajectory, g)
-                     for g in dict.fromkeys(golds))
-
-
 def _weighted_batch(example: Example, entries: list[tuple[Trajectory, str, float]],
                     weight_mode: str, failures: int = 0,
                     drop_zero: bool = False) -> ExampleBatch:
@@ -200,7 +193,8 @@ def weigh(example: Example, samples: Sequence[tuple[Trajectory, str]],
     """
     golds = list(example.gold_answers)
     if weight_mode == "posterior-logprob":
-        entries = [(t, a, score_answer_set(policy, example.question, t, golds))
+        entries = [(t, a, logsumexp(policy.score_answer(example.question, t, g)
+                                    for g in dict.fromkeys(golds)))
                    for t, a in samples]
     else:
         reward = REWARD_FNS[weight_mode]
@@ -289,66 +283,38 @@ def _updated_logits(old_row: np.ndarray, counts: np.ndarray, smoothing: float,
     return temperature * np.log(probs)
 
 
+def _factor_mass(policy: TabularPolicy, batch: ExampleBatch,
+                 retriever: Retriever) -> FactorMass | None:
+    """The weighted decision factors of a batch's trajectories, replayed
+    under ``policy``; None for a batch without signal. The answer target is
+    the gold answers under posterior weighting and the sampled answer under
+    reward weighting."""
+    if not _batch_has_signal(batch):
+        return None
+    golds = tuple(dict.fromkeys(batch.example.gold_answers))
+    mass = FactorMass.zeros(policy.params)
+    for wt in batch.items:
+        if wt.weight > 0.0:
+            targets = (wt.answer,) if wt.weight_mode.startswith("reward-") else golds
+            policy.replay(wt.trajectory, retriever, mass, wt.weight, targets)
+    return mass
+
+
 def expected_counts(params: TabularPolicyParams, batches: Sequence[ExampleBatch],
                     relations: Sequence[str], retriever: Retriever) -> ExpectedCounts:
     """Weighted counts of the outcomes chosen along each batch's trajectories.
 
     Batches without signal are skipped. The answer head counts the outcomes
-    that produce the weighting target: the gold answer under posterior
-    weighting, the sampled answer under reward weighting. Where several
-    outcomes yield the same text, weight is split in proportion to the
-    probabilities under ``params`` (the within-factor expectation).
+    that produce the weighting target (see :func:`_factor_mass`). Where
+    several outcomes yield the same text, weight is split in proportion to
+    the probabilities under ``params`` (the within-factor expectation).
     """
     policy = TabularPolicy(params, relations)
-    stop_col = len(relations)
     counts = ExpectedCounts.zeros(params)
-    rows = params.think_logits.shape[0]
-    ans_probs = policy.answer_probs()
-
     for batch in batches:
-        if not _batch_has_signal(batch):
-            continue
-        golds = set(batch.example.gold_answers)
-        for wt in batch.items:
-            w = wt.weight
-            if w <= 0.0:
-                continue
-            trajectory = wt.trajectory
-            entity = question_start_entity(trajectory.question)
-            for step in trajectory.steps:
-                relation = policy.relation_of(step.sub_query, entity)
-                row = min(step.hop, rows) - 1
-                counts.think[row, relations.index(relation)] += w
-                if step.retrieved:
-                    if step.selected is not None:
-                        docs = [retriever.get(pid) for pid in step.selected]
-                    else:
-                        docs = retriever.resolve(step.retrieved)
-                    rec_probs = policy.record_probs(len(docs))
-                    matched = [j for j, doc in enumerate(docs)
-                               if passage_object(doc) == step.evidence]
-                    if not matched:
-                        raise UnrealizableTrajectory(
-                            f"evidence {step.evidence!r} not producible at hop "
-                            f"{step.hop} of example {batch.example.id}")
-                    add_split(counts.record, rec_probs, matched, w)
-                elif step.evidence != "":
-                    raise UnrealizableTrajectory(
-                        f"evidence recorded without documents at hop {step.hop} "
-                        f"of example {batch.example.id}")
-                entity = step.evidence
-            if len(trajectory.steps) < trajectory.budget:
-                row = min(len(trajectory.steps) + 1, rows) - 1
-                counts.think[row, stop_col] += w
-
-            if wt.weight_mode.startswith("reward-"):
-                targets = {wt.answer}
-            else:
-                targets = golds
-            texts = (trajectory.last_evidence, ABSTAIN)
-            matched = [i for i, text in enumerate(texts) if text in targets]
-            if matched:
-                add_split(counts.answer, ans_probs, matched, w)
+        mass = _factor_mass(policy, batch, retriever)
+        if mass is not None:
+            counts.add(mass.counts(policy))
     return counts
 
 
@@ -382,24 +348,15 @@ def m_step_tabular(params: TabularPolicyParams, batches: Sequence[ExampleBatch],
 
 def compute_elbo(policy: TabularPolicy, batches: Sequence[ExampleBatch],
                  retriever: Retriever) -> float:
-    """Mean over examples of sum_z w(z) [log p(z|x) + log p(gold|x,z)].
+    """Mean over examples with signal of sum_z w(z) [log p(z|x) + log p(y|x,z)].
 
-    The proposal entropy term is constant within an iteration and omitted;
-    add :func:`posterior_entropy` back to compare against the exact marginal.
+    The target y is the one the M-step counts: any gold answer under
+    posterior weighting, the sampled answer under reward weighting. The
+    proposal entropy term is constant within an iteration and omitted; add
+    :func:`posterior_entropy` back to compare against the exact marginal.
     """
-    values = []
-    for batch in batches:
-        if not batch.items or not _batch_has_signal(batch):
-            continue
-        total = 0.0
-        for wt in batch.items:
-            if wt.weight == 0.0:
-                continue
-            logp_z = policy.trajectory_log_prob(wt.trajectory, retriever)
-            logp_y = score_answer_set(policy, batch.example.question,
-                                      wt.trajectory, batch.example.gold_answers)
-            total += wt.weight * (logp_z + logp_y)
-        values.append(total)
+    masses = [_factor_mass(policy, batch, retriever) for batch in batches]
+    values = [mass.log_prob(policy) for mass in masses if mass is not None]
     return float(np.mean(values)) if values else 0.0
 
 

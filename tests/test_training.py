@@ -20,7 +20,14 @@ from exsearch.policy import (
 )
 from exsearch.retrieval import Retriever, build_index
 from exsearch.synth import SyntheticWorld, generate_world, render_corpus
-from exsearch.trajectory import Example, Passage, parse_transcript
+from exsearch.trajectory import (
+    Example,
+    Passage,
+    ScoredPassage,
+    Step,
+    Trajectory,
+    parse_transcript,
+)
 from exsearch.training import (
     ExampleBatch,
     TrainConfig,
@@ -247,6 +254,22 @@ class TestMStep:
         probs = TabularPolicy(new, world.relations).think_probs(1)
         assert probs[2] == pytest.approx((1 + 1e-3) / (1 + 1e-3 * 3), abs=1e-12)
 
+    def test_retrieval_disagreeing_with_retriever_is_unrealizable(self):
+        # "A r1" retrieves A-r1-B, not A-r2-C, although C is producible from A-r2-C
+        world, retriever = self.one_hop_rig()
+        step = Step(sub_query="A r1", retrieved=(ScoredPassage("A-r2-C", 1.0, 1),),
+                    selected=None, evidence="C", hop=1)
+        trajectory = Trajectory(question="A r1", steps=(step,), terminated=True,
+                                budget=1)
+        batch = ExampleBatch(
+            example=Example(id="e", question="A r1", gold_answers=("C",)),
+            items=[make_weighted_t(trajectory, "C", 1.0)])
+        policy = uniform_policy(world, budget=1, k=1)
+        with pytest.raises(UnrealizableTrajectory):
+            m_step_tabular(policy.params, [batch], world.relations, retriever)
+        with pytest.raises(UnrealizableTrajectory):
+            compute_elbo(policy, [batch], retriever)
+
 
 def make_weighted(result, weight, log_weight, mode="posterior-logprob"):
     from exsearch.trajectory import WeightedTrajectory
@@ -370,6 +393,36 @@ class TestElbo:
                 if w > 0.0])
             elbo = compute_elbo(policy, [batch], retriever)
             assert elbo <= marginal + 1e-9
+
+    def test_reward_mode_elbo_scores_the_sampled_answer(self):
+        world = tiny_world([("A", "r1", "B"), ("A", "r2", "C"),
+                            ("B", "r1", "A"), ("C", "r1", "A")], ("r1", "r2"))
+        retriever = world_retriever(world)
+        results = [run_episode_for(world, retriever,
+                                   chain_following_policy(world, (rel,), 1, 1), 1, 1)
+                   for rel in ("r1", "r2")]
+        assert [r.answer for r in results] == ["B", "C"]  # C is a wrong answer
+        weights = normalize_weights([1.0, 0.0])
+        batch = ExampleBatch(
+            example=Example(id="e", question="A r1", gold_answers=("B",)),
+            items=[make_weighted(r, float(w), raw, mode="reward-em")
+                   for r, w, raw in zip(results, weights, (1.0, 0.0))])
+        policy = uniform_policy(world, budget=1, k=1)
+        expected = sum(wt.weight * policy.trajectory_log_prob(wt.trajectory, retriever,
+                                                              answer=wt.answer)
+                       for wt in batch.items)
+        assert compute_elbo(policy, [batch], retriever) == pytest.approx(
+            expected, rel=0, abs=1e-12)
+
+    def test_sampled_reward_f1_elbo_stays_finite(self):
+        world, questions, retriever = chain_world(seed=2, n_entities=60,
+                                                  density=1.0, n_questions=8)
+        config = TrainConfig(iterations=4, samples_per_example=4,
+                             weight_mode="reward-f1", early_stop_patience=0)
+        reports, _ = em_train(questions, uniform_policy(world, budget=2, k=3),
+                              retriever, config, AgentConfig(budget=2, k=3), seed=0)
+        assert len(reports) == 4
+        assert all(r.elbo > -1e3 for r in reports)
 
 
 def make_weighted_t(trajectory, answer, weight):
@@ -676,6 +729,10 @@ class TestLatticeOracle:
             assert lat.log_marginal == pytest.approx(marginal, rel=0, abs=1e-9)
         assert mean_train_loglik(policy, examples, retriever, acfg) == pytest.approx(
             float(np.mean(marginals)), rel=0, abs=1e-9)
+        for ex in examples:
+            for t, a, logp in policy.enumerate_trajectories(ex, retriever, budget, k):
+                assert policy.trajectory_log_prob(t, retriever, a) == pytest.approx(
+                    logp, rel=0, abs=1e-9)
 
         batches = e_step(examples, policy, retriever,
                          TrainConfig(e_step_mode="exact-enumeration"), acfg)
