@@ -6,6 +6,10 @@ when it shares no term with the query; zero-scoring passages are never
 returned. No stemming or stopword removal; both title and body are indexed.
 A query costs one pass over the posting lists of its distinct terms.
 The index is immutable after build and safe for concurrent searches.
+
+An index file holds only the passages; everything else in a
+:class:`CorpusIndex` is derived from them, so loading one rebuilds the
+postings with :func:`build_index`.
 """
 
 from __future__ import annotations
@@ -19,14 +23,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .errors import CorruptIndex, DuplicateId, EmptyIndex, VersionMismatch
+from .errors import CorruptIndex, DuplicateId, EmptyIndex, SchemaError, VersionMismatch
 from .trajectory import Passage, ScoredPassage, passage_from_dict, passage_to_dict
 
 K1 = 0.9
 B = 0.4
 
 INDEX_MAGIC = b"EXSIDX1"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 INDEX_FILENAME = "index.exsidx"
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -50,12 +54,6 @@ class CorpusIndex:
     avg_doc_length: float
     doc_count: int
     passages: dict[str, Passage]
-
-    def get(self, passage_id: str) -> Passage:
-        return self.passages[passage_id]
-
-    def resolve(self, hits: Iterable[ScoredPassage]) -> list[Passage]:
-        return [self.passages[h.passage_ref] for h in hits]
 
 
 def indexed_text(passage: Passage) -> str:
@@ -138,7 +136,7 @@ class Retriever:
         return self.index.passages[passage_id]
 
     def resolve(self, hits: Iterable[ScoredPassage]) -> list[Passage]:
-        return self.index.resolve(hits)
+        return [self.index.passages[h.passage_ref] for h in hits]
 
     @property
     def doc_count(self) -> int:
@@ -146,16 +144,11 @@ class Retriever:
 
 
 def save_index(index: CorpusIndex, path) -> None:
-    """Persist an index: magic header, format-version byte, compressed body."""
-    body = {
-        "doc_count": index.doc_count,
-        "avg_doc_length": index.avg_doc_length,
-        "doc_lengths": index.doc_lengths,
-        "postings": {t: [[pid, tf] for pid, tf in plist]
-                     for t, plist in index.postings.items()},
-        "passages": [passage_to_dict(p) for p in index.passages.values()],
-    }
-    payload = zlib.compress(json.dumps(body, ensure_ascii=False).encode("utf-8"))
+    """Persist an index: magic header, format-version byte, then the
+    zlib-compressed JSON list of its passage records. The postings are not
+    stored; :func:`load_index` rebuilds them."""
+    records = [passage_to_dict(p) for p in index.passages.values()]
+    payload = zlib.compress(json.dumps(records, ensure_ascii=False).encode("utf-8"))
     path = Path(path)
     if path.is_dir():
         path = path / INDEX_FILENAME
@@ -166,10 +159,13 @@ def save_index(index: CorpusIndex, path) -> None:
 
 
 def load_index(path) -> CorpusIndex:
-    """Load an index written by :func:`save_index`.
+    """Load an index written by :func:`save_index`, rebuilding its postings
+    from the stored passages with :func:`build_index`.
 
-    Raises CorruptIndex on a bad magic header or undecodable body, and
-    VersionMismatch on an unsupported format-version byte.
+    Raises CorruptIndex on a bad magic header, an undecodable body, a body
+    that is not a list of passage records, a malformed record or a repeated
+    passage id; raises VersionMismatch on any other format-version byte,
+    which includes files from before the passages-only format.
     """
     path = Path(path)
     if path.is_dir():
@@ -182,17 +178,17 @@ def load_index(path) -> CorpusIndex:
         raise CorruptIndex(f"{path}: truncated file")
     version = blob[len(INDEX_MAGIC)]
     if version != INDEX_VERSION:
-        raise VersionMismatch(f"{path}: unsupported index version {version}")
+        raise VersionMismatch(
+            f"{path}: unsupported index version {version} (this build reads "
+            f"version {INDEX_VERSION}); re-run `exsearch ingest` on the corpus")
     try:
-        body = json.loads(zlib.decompress(blob[len(INDEX_MAGIC) + 1:]))
-        passages = {d["id"]: passage_from_dict(d) for d in body["passages"]}
-        return CorpusIndex(
-            postings={t: tuple((pid, int(tf)) for pid, tf in plist)
-                      for t, plist in body["postings"].items()},
-            doc_lengths={pid: int(n) for pid, n in body["doc_lengths"].items()},
-            avg_doc_length=float(body["avg_doc_length"]),
-            doc_count=int(body["doc_count"]),
-            passages=passages,
-        )
-    except (KeyError, ValueError, TypeError, zlib.error, json.JSONDecodeError) as exc:
+        records = json.loads(zlib.decompress(blob[len(INDEX_MAGIC) + 1:]))
+    except (ValueError, zlib.error) as exc:
         raise CorruptIndex(f"{path}: undecodable index body ({exc})") from exc
+    if not isinstance(records, list) or not all(isinstance(d, dict) for d in records):
+        raise CorruptIndex(f"{path}: index body is not a list of passage records")
+    # build_index raises TypeError on ids it cannot hash or order.
+    try:
+        return build_index([passage_from_dict(d) for d in records])
+    except (SchemaError, DuplicateId, TypeError) as exc:
+        raise CorruptIndex(f"{path}: {exc}") from exc

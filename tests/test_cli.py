@@ -2,11 +2,13 @@ import csv
 import json
 import subprocess
 import sys
+import zlib
 
 import pytest
 
 from exsearch import synth, trajectory
 from exsearch.cli import main
+from exsearch.retrieval import INDEX_FILENAME, INDEX_MAGIC
 from exsearch.stub import ChainOracleBehavior, StubChatServer
 
 
@@ -316,6 +318,23 @@ class TestExitCodes:
         result = run_cli("ingest", "--corpus", str(tmp_path / "nope.jsonl"),
                          "--index", str(tmp_path / "idx"))
         assert result.returncode == 2
+
+    def test_explore_on_version_1_index_exits_2_with_reingest_hint(
+            self, world_dir, tmp_path, capsys):
+        index_dir = tmp_path / "idx"
+        index_dir.mkdir()
+        body = {"doc_count": 0, "avg_doc_length": 0.0, "doc_lengths": {},
+                "postings": {}, "passages": []}
+        (index_dir / INDEX_FILENAME).write_bytes(
+            INDEX_MAGIC + b"\x01" + zlib.compress(json.dumps(body).encode("utf-8")))
+        code = main(["explore", "--examples", str(world_dir / "examples.jsonl"),
+                     "--policy", "tabular", "--world", str(world_dir / "world.json"),
+                     "--index", str(index_dir), "--out", str(tmp_path / "t.jsonl")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert not (tmp_path / "t.jsonl").exists()
+        assert len(err) == 1 and err[0].startswith("exsearch: error: VersionMismatch: ")
+        assert "re-run `exsearch ingest`" in err[0]
 
 
 class TestEvalRetrievalMetrics:

@@ -1,14 +1,18 @@
 import dataclasses
+import json
 import math
 import re
+import zlib
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from exsearch import synth
 from exsearch.errors import CorruptIndex, DuplicateId, EmptyIndex, VersionMismatch
 from exsearch.retrieval import (
     INDEX_MAGIC,
+    INDEX_VERSION,
     B,
     K1,
     build_index,
@@ -17,7 +21,7 @@ from exsearch.retrieval import (
     search,
     tokenize,
 )
-from exsearch.trajectory import Passage
+from exsearch.trajectory import Passage, passage_to_dict
 
 
 def brute_force_bm25(passages: list[Passage], query: str) -> dict[str, float]:
@@ -217,7 +221,7 @@ class TestPersistence:
         save_index(build_index(passages_from({"p": "x"})), path)
         blob = path.read_bytes()
         assert blob.startswith(INDEX_MAGIC)
-        assert blob[len(INDEX_MAGIC)] == 1
+        assert blob[len(INDEX_MAGIC)] == INDEX_VERSION
 
     def test_wrong_magic_raises_corrupt(self, tmp_path):
         path = tmp_path / "bad.exsidx"
@@ -236,7 +240,7 @@ class TestPersistence:
 
     def test_garbled_body_raises_corrupt(self, tmp_path):
         path = tmp_path / "body.exsidx"
-        path.write_bytes(INDEX_MAGIC + b"\x01" + b"garbage-not-zlib")
+        path.write_bytes(INDEX_MAGIC + bytes([INDEX_VERSION]) + b"garbage-not-zlib")
         with pytest.raises(CorruptIndex):
             load_index(path)
 
@@ -244,3 +248,71 @@ class TestPersistence:
         index = build_index(passages_from({"p": "alpha"}))
         save_index(index, tmp_path)
         assert load_index(tmp_path) == index
+
+    def test_round_trip_on_10k_passage_world(self, tmp_path):
+        world = synth.generate_world(1000, 10, 2, 1.0, 5)
+        built = build_index(synth.render_corpus(world))
+        path = tmp_path / "index.exsidx"
+        save_index(built, path)
+        loaded = load_index(path)
+        assert built.doc_count == 10_000
+        assert loaded == built
+        assert list(loaded.postings) == list(built.postings)
+        assert list(loaded.doc_lengths) == list(built.doc_lengths)
+        body = json.loads(zlib.decompress(path.read_bytes()[len(INDEX_MAGIC) + 1:]))
+        assert body == [passage_to_dict(p) for p in built.passages.values()]
+
+        rng = np.random.default_rng(5)
+        queries = [ex.question for ex in synth.make_questions(world, 20, 5)]
+        queries += [f"ent{int(rng.integers(1000))} {world.relations[int(rng.integers(10))]}"
+                    for _ in range(20)]
+        vocab = sorted(built.postings) + ["absent", "nowhere"]
+        queries += [" ".join(vocab[int(i)] for i in rng.integers(0, len(vocab), size=4))
+                    for _ in range(20)]
+
+        def ranked(index, query, k):
+            return [(h.passage_ref, h.rank, h.score.hex()) for h in search(index, query, k)]
+
+        for query in queries:
+            for k in (1, 5, 50):
+                assert ranked(loaded, query, k) == ranked(built, query, k)
+
+    @staticmethod
+    def _write_body(path, body, version=INDEX_VERSION):
+        payload = zlib.compress(json.dumps(body).encode("utf-8"))
+        path.write_bytes(INDEX_MAGIC + bytes([version]) + payload)
+
+    @pytest.mark.parametrize("records, message", [
+        ([{"id": "p", "title": "t"}], "missing required field 'text'"),
+        ([{"id": "p", "title": "t", "text": ""}], "empty text"),
+        ([{"id": ["p"], "title": "t", "text": "alpha"}], "unhashable"),
+    ])
+    def test_malformed_record_raises_corrupt(self, tmp_path, records, message):
+        path = tmp_path / "rec.exsidx"
+        self._write_body(path, records)
+        with pytest.raises(CorruptIndex, match=rf"rec\.exsidx: .*{message}"):
+            load_index(path)
+
+    def test_repeated_passage_id_raises_corrupt(self, tmp_path):
+        path = tmp_path / "dup.exsidx"
+        record = {"id": "p", "title": "t", "text": "alpha"}
+        self._write_body(path, [record, record])
+        with pytest.raises(CorruptIndex, match=r"dup\.exsidx: duplicate passage id"):
+            load_index(path)
+
+    @pytest.mark.parametrize("body", [{"passages": []}, ["p"], [["p", "t", "x"]], 7])
+    def test_body_not_a_list_of_records_raises_corrupt(self, tmp_path, body):
+        path = tmp_path / "shape.exsidx"
+        self._write_body(path, body)
+        with pytest.raises(CorruptIndex, match=r"shape\.exsidx: .*not a list"):
+            load_index(path)
+
+    def test_version_1_file_asks_for_reingest(self, tmp_path):
+        path = tmp_path / "v1.exsidx"
+        self._write_body(path, {
+            "doc_count": 1, "avg_doc_length": 2.0, "doc_lengths": {"p": 2},
+            "postings": {"alpha": [["p", 1]], "p": [["p", 1]]},
+            "passages": [{"id": "p", "title": "p", "text": "alpha"}],
+        }, version=1)
+        with pytest.raises(VersionMismatch, match=r"version 1\b.*exsearch ingest"):
+            load_index(path)
