@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -93,6 +94,10 @@ def _endpoint_config(config: dict) -> llm.EndpointConfig:
     if not section or "base_url" not in section or "model_name" not in section:
         raise UsageError("--policy llm needs a config file with an [llm] section "
                          "providing base_url and model_name")
+    unknown = set(section) - {f.name for f in dataclasses.fields(llm.EndpointConfig)}
+    if unknown:
+        raise UsageError(f"unknown key(s) in the [llm] config section: "
+                         f"{', '.join(sorted(unknown))}")
     return llm.EndpointConfig(**section)
 
 
@@ -279,10 +284,12 @@ def cmd_train(args, config: dict) -> int:
         seed=_seed(args, config), val_examples=val, jobs=args.jobs)
     training.write_history_csv(args.history, reports)
     final_params.save(args.params_out)
-    for r in reports:
-        loglik = "" if r.train_loglik is None else f" train_loglik={r.train_loglik:.6f}"
-        print(f"iteration {r.iteration}{loglik} elbo={r.elbo:.6f} "
-              f"val={r.validation_score:.6f}")
+    if not args.json:
+        for r in reports:
+            loglik = ("" if r.train_loglik is None
+                      else f" train_loglik={r.train_loglik:.6f}")
+            print(f"iteration {r.iteration}{loglik} elbo={r.elbo:.6f} "
+                  f"val={r.validation_score:.6f}")
     _emit(args, f"trained {len(reports)} iterations -> {args.params_out}, {args.history}",
           {"iterations": len(reports), "params": str(args.params_out),
            "history": str(args.history)})

@@ -43,6 +43,11 @@ class CorruptIndex(DataError):
     """An index file is unreadable or fails its integrity checks."""
 
 
+class MalformedFile(DataError):
+    """A JSON file (a world manifest, policy parameters) is unreadable or
+    does not match its schema."""
+
+
 class VersionMismatch(DataError):
     """An index file was written by an unsupported format version."""
 

@@ -15,6 +15,9 @@ A trailing assistant message is treated as a prefix the model continues.
 ``score_completion`` requests per-token log-probabilities of the given text
 conditioned on the messages; servers without log-probability support simply
 omit the ``logprobs`` field, which surfaces as LogprobsUnsupported here.
+
+:func:`chat_turns` builds the prompt that generation, answer scoring and the
+SFT records of :mod:`exsearch.training` share.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ import requests
 
 from .errors import AuthError, EndpointError, LogprobsUnsupported, NoDocuments, Timeout
 from .policy import PolicyDecision, PolicyState
-from .trajectory import FINAL_VARIANTS, SEARCH, Passage, Trajectory, render_transcript
+from .trajectory import (FINAL_VARIANTS, RANK, RECORD, SEARCH, THINK, Passage, Trajectory,
+                         render_transcript)
 
 DEFAULT_API_KEY_ENV = "EXSEARCH_API_KEY"
 
@@ -55,8 +59,8 @@ Your Output:"""
 # know about, so generation halts wherever the model announces its answer.
 GENERATION_STOPS = [SEARCH, *FINAL_VARIANTS]
 
-_THINK_RE = re.compile(r"<THINK>[ \t]*(.+)")
-_RECORD_RE = re.compile(r"<RECORD>[ \t]*(.*)")
+_THINK_RE = re.compile(rf"{THINK}[ \t]*(.+)")
+_RECORD_RE = re.compile(rf"{RECORD}[ \t]*(.*)")
 
 
 def build_system_prompt() -> str:
@@ -79,6 +83,27 @@ class ChatTurn:
             raise ValueError(f"unknown chat role {self.role!r}")
         if self.role in ("system", "user") and not self.content:
             raise ValueError(f"{self.role} turn must have content")
+
+
+def chat_turns(question: str, assistant: str = "") -> list[ChatTurn]:
+    """The system turn, the user turn for ``question`` and, when
+    ``assistant`` is non-empty, the assistant prefix the model continues."""
+    turns = [ChatTurn("system", build_system_prompt()),
+             ChatTurn("user", build_user_turn(question))]
+    if assistant:
+        turns.append(ChatTurn("assistant", assistant))
+    return turns
+
+
+def wire_messages(turns: Sequence[ChatTurn]) -> list[dict]:
+    """Turns as ``{"role", "content"}`` messages, in requests and SFT records."""
+    return [{"role": t.role, "content": t.content} for t in turns]
+
+
+def _answer_prefix(trajectory: Trajectory) -> str:
+    """The assistant prefix of answering and answer scoring: the canonical
+    transcript (no document bodies) closed by a bare final-answer tag."""
+    return render_transcript(trajectory, "")
 
 
 @dataclass
@@ -181,15 +206,14 @@ class HttpChatClient:
         except (KeyError, IndexError, TypeError) as exc:
             raise EndpointError(f"malformed endpoint response: {response!r}") from exc
 
+    def _body(self, turns: Sequence[ChatTurn], **options) -> dict:
+        return {"model": self.config.model_name, "messages": wire_messages(turns),
+                **options}
+
     def complete(self, turns: Sequence[ChatTurn], stop_sequences: Sequence[str],
                  max_tokens: int = 512) -> str:
         """Run one generation and return the assistant text."""
-        payload = {
-            "model": self.config.model_name,
-            "messages": [{"role": t.role, "content": t.content} for t in turns],
-            "max_tokens": max_tokens,
-            "stop": list(stop_sequences),
-        }
+        payload = self._body(turns, max_tokens=max_tokens, stop=list(stop_sequences))
         message = self._message(self._request(payload))
         content = message.get("content")
         if content is None:
@@ -197,14 +221,8 @@ class HttpChatClient:
         return content
 
     def _score_request(self, turns: Sequence[ChatTurn], target: str) -> list[float]:
-        payload = {
-            "model": self.config.model_name,
-            "messages": [{"role": t.role, "content": t.content} for t in turns],
-            "max_tokens": 0,
-            "logprobs": True,
-            "score_completion": target,
-        }
-        response = self._request(payload)
+        response = self._request(self._body(turns, max_tokens=0, logprobs=True,
+                                            score_completion=target))
         message = self._message(response)
         logprobs = response["choices"][0].get("logprobs") or message.get("logprobs")
         if not logprobs or "content" not in logprobs:
@@ -229,13 +247,9 @@ class HttpChatClient:
 
     def score_answer_logprob(self, question: str, trajectory: Trajectory,
                              y: str) -> float:
-        """Sum of token log-probs of ``y`` conditioned on the rendered transcript."""
-        context = render_transcript(trajectory)
-        turns = [
-            ChatTurn("system", build_system_prompt()),
-            ChatTurn("user", build_user_turn(question)),
-            ChatTurn("assistant", context + ("\n" if context else "") + "<FINAL>"),
-        ]
+        """Sum of token log-probs of ``y`` after the answer prefix of the
+        rendered transcript, as :meth:`ChatEpisode.answer` generates it."""
+        turns = chat_turns(question, _answer_prefix(trajectory))
         return sum(self._ensure_logprobs(turns, y))
 
 
@@ -272,17 +286,8 @@ class ChatEpisode:
     finalizing: bool = False
     docs_injected: bool = False
 
-    def _turns(self) -> list[ChatTurn]:
-        turns = [
-            ChatTurn("system", build_system_prompt()),
-            ChatTurn("user", build_user_turn(self.question)),
-        ]
-        if self.assistant:
-            turns.append(ChatTurn("assistant", self.assistant))
-        return turns
-
     def _generate(self, stop: Sequence[str], max_tokens: int | None = None) -> str:
-        return self.client.complete(self._turns(), stop,
+        return self.client.complete(chat_turns(self.question, self.assistant), stop,
                                     max_tokens or self.max_tokens)
 
     def _append(self, text: str) -> None:
@@ -312,13 +317,13 @@ class ChatEpisode:
         rendered = " ".join(
             f"[{i}] Title: {flat(doc.title)}. Content: {flat(doc.text)}"
             for i, doc in enumerate(documents, 1))
-        return f"<SEARCH> {rendered}\n"
+        return f"{SEARCH} {rendered}\n"
 
     def rank_directive(self, sub_query: str, documents: Sequence[Passage],
                        keep: int) -> str:
         self._append(self._docs_line(documents))
         self.docs_injected = True
-        self._append("<RANK>")
+        self._append(RANK)
         text = self._generate(["\n"], max_tokens=64)
         self._append(f" {text.strip()}\n")
         return text.strip()
@@ -344,11 +349,7 @@ class ChatEpisode:
 
     def answer(self, question: str, trajectory: Trajectory,
                rng: np.random.Generator) -> PolicyDecision:
-        # Answer aggregation conditions on the canonical transcript (all
-        # steps: sub-queries, citations, evidence) rather than the raw
-        # generation context with full document bodies.
-        context = render_transcript(trajectory)
-        self.assistant = context + ("\n" if context else "") + "<FINAL>"
+        self.assistant = _answer_prefix(trajectory)
         text = self._generate(["\n"], max_tokens=64)
         self._append(text)
         return PolicyDecision(choice=text.strip(), log_prob=0.0)

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import EnumerationTooLarge, NoDocuments, UnrealizableTrajectory
 from .retrieval import Retriever, tokenize
-from .trajectory import Example, Passage, Step, Trajectory
+from .trajectory import Example, Passage, Step, Trajectory, read_json_file
 
 LOG_FLOOR = -1e9
 ABSTAIN = "ABSTAIN"
@@ -156,6 +156,9 @@ class TabularPolicyParams:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TabularPolicyParams":
+        if d.get("version") != PARAMS_VERSION:
+            raise ValueError(f"unsupported params version {d.get('version')!r} "
+                             f"(this build reads version {PARAMS_VERSION})")
         return cls(
             think_logits=np.asarray(d["think_logits"], dtype=float),
             record_logits=np.asarray(d["record_logits"], dtype=float),
@@ -170,8 +173,8 @@ class TabularPolicyParams:
 
     @classmethod
     def load(cls, path) -> "TabularPolicyParams":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        """Read a params file; a defective file raises MalformedFile."""
+        return read_json_file(path, cls.from_json_dict)
 
 
 def passage_object(passage: Passage) -> str:

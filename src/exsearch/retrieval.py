@@ -187,8 +187,7 @@ def load_index(path) -> CorpusIndex:
         raise CorruptIndex(f"{path}: undecodable index body ({exc})") from exc
     if not isinstance(records, list) or not all(isinstance(d, dict) for d in records):
         raise CorruptIndex(f"{path}: index body is not a list of passage records")
-    # build_index raises TypeError on ids it cannot hash or order.
     try:
         return build_index([passage_from_dict(d) for d in records])
-    except (SchemaError, DuplicateId, TypeError) as exc:
+    except (SchemaError, DuplicateId) as exc:
         raise CorruptIndex(f"{path}: {exc}") from exc

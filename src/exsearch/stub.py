@@ -84,15 +84,15 @@ class ChainOracleBehavior:
 
     Reads the question's relation sequence from the user turn, records the
     object of the top injected document at each hop, and answers with the
-    last recorded evidence. Scoring requests are answered from
-    ``logprob_table`` (per whitespace token, ``default_logprob`` otherwise)
-    unless ``logprobs_enabled`` is off.
+    last recorded evidence; each generation is cut at the request's stop
+    sequences. Scoring requests are answered from ``logprob_table`` (per
+    whitespace token, ``default_logprob`` otherwise) unless
+    ``logprobs_enabled`` is off.
     """
 
     logprob_table: dict[str, float] = field(default_factory=dict)
     default_logprob: float = -0.5
     logprobs_enabled: bool = True
-    honor_stops: bool = True
 
     @staticmethod
     def _question(request: dict) -> str:
@@ -154,9 +154,7 @@ class ChainOracleBehavior:
         else:
             text = "<FINAL>"
 
-        if self.honor_stops:
-            text = _truncate_at_stops(text, request.get("stop", []))
-        return 200, chat_response(text)
+        return 200, chat_response(_truncate_at_stops(text, request.get("stop", [])))
 
 
 class StubChatServer:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InfeasibleWorld
-from .trajectory import Example, Passage
+from .trajectory import Example, Passage, read_json_file
 
 
 @dataclass(frozen=True)
@@ -212,5 +212,5 @@ def save_world(world: SyntheticWorld, path) -> None:
 
 
 def load_world(path) -> SyntheticWorld:
-    with open(path, "r", encoding="utf-8") as fh:
-        return world_from_dict(json.load(fh))
+    """Read a world manifest; a defective file raises MalformedFile."""
+    return read_json_file(path, world_from_dict)

@@ -1,6 +1,7 @@
 """Self-training loop: trajectory exploration with importance weights,
 re-weighted closed-form updates for the tabular policy, likelihood/ELBO
-tracking, early stopping, and weighted training-data export.
+tracking, early stopping, and weighted training-data export in the chat
+format of :func:`exsearch.llm.chat_turns`.
 
 Each iteration explores trajectories under the current policy (sampled
 episodes, or the exact posterior over all of them), weights them by how well
@@ -18,9 +19,9 @@ trajectory is enumerated. In sampled mode :func:`m_step_tabular` and
 :func:`compute_elbo` are the M-step and the ELBO: they replay each weighted
 trajectory into its decision factors and count and score those with the
 methods the lattice uses (:class:`~.policy.FactorMass`). Fed by ``e_step``
-in ``exact-enumeration`` mode, which alone is bounded by
-``TrainConfig.enumeration_cap``, they are the oracle the lattice is checked
-against.
+in ``exact-enumeration`` mode, which alone is bounded by the enumeration cap
+of :meth:`~.policy.TabularPolicy.enumerate_trajectories`, they are the oracle
+the lattice is checked against.
 
 Raw weights come in two families: ``posterior-logprob`` uses the policy's
 own log-likelihood of the gold answer given the trajectory, while the
@@ -41,7 +42,7 @@ import numpy as np
 
 from .agent import AgentConfig, EpisodeResult, episode_rng, run_episode
 from .errors import ExsearchError, LogprobsUnsupported, MissingAnnotation
-from .llm import build_system_prompt, build_user_turn
+from .llm import chat_turns, wire_messages
 from .metrics import accuracy, exact_match, token_f1
 from .policy import (
     LOG_FLOOR,
@@ -66,6 +67,8 @@ logger = logging.getLogger("exsearch")
 
 E_STEP_MODES = ("sampled", "exact-enumeration")
 VALIDATION_METRICS = ("loglik", "em", "acc")
+# A validation score improves on the best only when it exceeds it by more.
+EARLY_STOP_MIN_DELTA = 1e-6
 
 REWARD_FNS = {
     "reward-em": exact_match,
@@ -83,10 +86,8 @@ class TrainConfig:
     weight_mode: str = "posterior-logprob"
     e_step_mode: str = "sampled"
     early_stop_patience: int = 1  # 0 disables early stopping
-    early_stop_min_delta: float = 1e-6
     validation_metric: str = "loglik"
     smoothing: float = 1e-3
-    enumeration_cap: int = 1_000_000  # bounds the enumeration oracle only
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -203,11 +204,9 @@ def weigh(example: Example, samples: Sequence[tuple[Trajectory, str]],
 
 
 def _e_step_exact_one(example: Example, policy: TabularPolicy,
-                      retriever: Retriever, config: TrainConfig,
-                      agent_config: AgentConfig) -> ExampleBatch:
+                      retriever: Retriever, agent_config: AgentConfig) -> ExampleBatch:
     leaves = policy.enumerate_trajectories(example, retriever,
-                                           agent_config.budget, agent_config.k,
-                                           config.enumeration_cap)
+                                           agent_config.budget, agent_config.k)
     golds = set(example.gold_answers)
     per_traj: dict[Trajectory, list[float]] = {}
     for trajectory, answer, logp in leaves:
@@ -229,14 +228,15 @@ def e_step(examples: Sequence[Example], policy, retriever: Retriever,
     isolated RNG streams (:func:`explore`) and weights them (:func:`weigh`);
     an example whose endpoint cannot score log-probabilities is weighted
     under ``reward-em`` instead. Exact mode enumerates the full trajectory
-    space (up to ``enumeration_cap``) and weights each trajectory by the
-    true posterior given the gold answer. Per-example failures are recorded
-    on the batch and never abort the run.
+    space (raising EnumerationTooLarge beyond the cap of
+    :meth:`~.policy.TabularPolicy.enumerate_trajectories`) and weights each
+    trajectory by the true posterior given the gold answer. Per-example
+    failures are recorded on the batch and never abort the run.
     """
     if not examples:
         raise ValueError("e_step needs a non-empty dataset")
     if config.e_step_mode == "exact-enumeration":
-        return [_e_step_exact_one(ex, policy, retriever, config, agent_config)
+        return [_e_step_exact_one(ex, policy, retriever, agent_config)
                 for ex in examples]
     batches = []
     for found in explore(examples, policy, retriever, agent_config,
@@ -422,8 +422,9 @@ def em_train(examples: Sequence[Example], policy: TabularPolicy,
     the ``loglik`` validation score when validation uses the training set,
     and the next iteration's E-step.
 
-    Stops early when the validation metric fails to improve for
-    ``early_stop_patience`` consecutive iterations (patience 0 disables).
+    Stops early when the validation metric fails to improve by more than
+    ``EARLY_STOP_MIN_DELTA`` for ``early_stop_patience`` consecutive
+    iterations (patience 0 disables).
     Returns one report per completed iteration plus the final parameters.
     """
     exact = config.e_step_mode == "exact-enumeration"
@@ -458,7 +459,7 @@ def em_train(examples: Sequence[Example], policy: TabularPolicy,
         reports.append(IterationReport(
             iteration=iteration, train_loglik=train_loglik, elbo=elbo,
             validation_score=score, wall_time=time.perf_counter() - started))
-        if best is None or score > best + config.early_stop_min_delta:
+        if best is None or score > best + EARLY_STOP_MIN_DELTA:
             best = score
             streak = 0
         else:
@@ -488,12 +489,8 @@ def sft_record(example_id: str, sample_index: int, example: Example,
     golds = list(example.gold_answers)
     return {
         "id": f"{example_id}/{sample_index}",
-        "messages": [
-            {"role": "system", "content": build_system_prompt()},
-            {"role": "user", "content": build_user_turn(example.question)},
-            {"role": "assistant",
-             "content": render_transcript(wt.trajectory, wt.answer)},
-        ],
+        "messages": wire_messages(chat_turns(
+            example.question, render_transcript(wt.trajectory, wt.answer))),
         "answer": wt.answer,
         "weight": wt.weight,
         "weight_mode": wt.weight_mode,
@@ -573,12 +570,8 @@ def warmup_format(examples: Sequence[Example], retriever: Retriever,
                                 terminated=True, budget=max(1, len(steps)))
         records.append({
             "id": ex.id,
-            "messages": [
-                {"role": "system", "content": build_system_prompt()},
-                {"role": "user", "content": build_user_turn(ex.question)},
-                {"role": "assistant",
-                 "content": render_transcript(trajectory, ex.gold_answers[0])},
-            ],
+            "messages": wire_messages(chat_turns(
+                ex.question, render_transcript(trajectory, ex.gold_answers[0]))),
             "answer": ex.gold_answers[0],
         })
     return records

@@ -5,7 +5,8 @@ the retrieved passages, and the evidence extracted from them, plus a terminal
 answer. Transcripts encode trajectories as one action per line using the tags
 <THINK>, <SEARCH>, <RECORD>, <RANK> and <FINAL> (UTF-8, LF line endings).
 ``<Final>`` and ``<FINIAL>`` are accepted as spellings of ``<FINAL>`` on parse
-and canonicalized on render.
+and canonicalized on render. :func:`render_transcript` and
+:func:`render_parsed` share the grammar's one writer.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
-from .errors import MalformedAction, SchemaError
+from .errors import MalformedAction, MalformedFile, SchemaError
 
 THINK = "<THINK>"
 SEARCH = "<SEARCH>"
@@ -185,6 +186,21 @@ def _action_line(tag: str, payload: str) -> str:
     return f"{tag} {payload}" if payload else tag
 
 
+def _write_transcript(steps: Iterable[tuple], answer: str | None) -> str:
+    """The grammar's one writer, over (sub-query, citations, rank directive
+    or None, evidence) tuples."""
+    lines = []
+    for sub_query, citations, rank_directive, evidence in steps:
+        lines.append(_action_line(THINK, sub_query))
+        lines.append(_action_line(SEARCH, " ".join(f"[{n}]" for n in citations)))
+        if rank_directive is not None:
+            lines.append(_action_line(RANK, rank_directive))
+        lines.append(_action_line(RECORD, evidence))
+    if answer is not None:
+        lines.append(_action_line(FINAL, answer))
+    return "\n".join(lines)
+
+
 def render_transcript(trajectory: Trajectory, answer: str | None = None) -> str:
     """Render a trajectory as canonical transcript text.
 
@@ -192,30 +208,14 @@ def render_transcript(trajectory: Trajectory, answer: str | None = None) -> str:
     1-based rank within the step's retrieval result (only the selected subset
     is cited when present). Closes with <FINAL> when an answer is given.
     """
-    lines = []
-    for step in trajectory.steps:
-        lines.append(_action_line(THINK, step.sub_query))
-        cites = " ".join(f"[{n}]" for n in step_citations(step))
-        lines.append(_action_line(SEARCH, cites))
-        lines.append(_action_line(RECORD, step.evidence))
-    if answer is not None:
-        lines.append(_action_line(FINAL, answer))
-    return "\n".join(lines)
+    return _write_transcript(((s.sub_query, step_citations(s), None, s.evidence)
+                              for s in trajectory.steps), answer)
 
 
 def render_parsed(parsed: ParsedTranscript) -> str:
     """Render a parsed skeleton back to canonical transcript text."""
-    lines = []
-    for step in parsed.steps:
-        lines.append(_action_line(THINK, step.sub_query))
-        cites = " ".join(f"[{n}]" for n in step.citations)
-        lines.append(_action_line(SEARCH, cites))
-        if step.rank_directive is not None:
-            lines.append(_action_line(RANK, step.rank_directive))
-        lines.append(_action_line(RECORD, step.evidence))
-    if parsed.answer is not None:
-        lines.append(_action_line(FINAL, parsed.answer))
-    return "\n".join(lines)
+    return _write_transcript(((s.sub_query, s.citations, s.rank_directive, s.evidence)
+                              for s in parsed.steps), parsed.answer)
 
 
 def _match_tag(line: str) -> tuple[str, str] | None:
@@ -352,6 +352,10 @@ def passage_to_dict(p: Passage) -> dict:
 
 def passage_from_dict(d: dict, line: int | None = None) -> Passage:
     _require(d, ("id", "title", "text"), line)
+    if not (isinstance(d["id"], str) and isinstance(d["title"], str)
+            and isinstance(d["text"], str)):
+        raise SchemaError("passage id, title and text must be strings; an id of "
+                          "another type may be unhashable or unorderable", line)
     extras = {k: v for k, v in d.items() if k not in ("id", "title", "text")}
     try:
         return Passage(id=d["id"], title=d["title"], text=d["text"], extras=extras)
@@ -379,14 +383,20 @@ def example_from_dict(d: dict, line: int | None = None) -> Example:
     _require(d, ("id", "question", "answers"), line)
     extras = {k: v for k, v in d.items() if k not in _EXAMPLE_FIELDS}
 
+    def strings(name):
+        value = d[name]
+        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+            raise SchemaError(f"field {name!r} must be a list of strings", line)
+        return tuple(value)
+
     def opt(name):
-        return tuple(d[name]) if name in d and d[name] is not None else None
+        return strings(name) if name in d and d[name] is not None else None
 
     try:
         return Example(
             id=d["id"],
             question=d["question"],
-            gold_answers=tuple(d["answers"]),
+            gold_answers=strings("answers"),
             gold_passages=opt("gold_passages"),
             gold_subqueries=opt("gold_subqueries"),
             gold_evidences=opt("gold_evidences"),
@@ -515,6 +525,22 @@ def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
             if not isinstance(record, dict):
                 raise SchemaError("record is not a JSON object", line_no)
             yield line_no, record
+
+
+def read_json_file(path, parse):
+    """``parse`` of the JSON object stored at ``path``. Invalid JSON, a value
+    that is not an object and any KeyError, TypeError or ValueError of
+    ``parse`` raise MalformedFile naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            d = json.load(fh)
+        if not isinstance(d, dict):
+            raise ValueError("not a JSON object")
+        return parse(d)
+    except KeyError as exc:
+        raise MalformedFile(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise MalformedFile(f"{path}: {exc}") from exc
 
 
 def read_passages_jsonl(path) -> list[Passage]:

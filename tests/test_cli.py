@@ -8,8 +8,10 @@ import pytest
 
 from exsearch import synth, trajectory
 from exsearch.cli import main
+from exsearch.policy import TabularPolicyParams
 from exsearch.retrieval import INDEX_FILENAME, INDEX_MAGIC
 from exsearch.stub import ChainOracleBehavior, StubChatServer
+from exsearch.trajectory import FINAL
 
 
 def run_cli(*args):
@@ -119,6 +121,16 @@ class TestTrainAndAsk:
         payload = json.loads(capsys.readouterr().out)
         assert payload["answer"] == ex.gold_answers[0]
         assert "<FINAL>" in payload["transcript"]
+
+    def test_train_json_prints_one_document(self, world_dir, tmp_path, capsys):
+        params, history = tmp_path / "params.json", tmp_path / "history.csv"
+        assert main(["train", "--world", str(world_dir / "world.json"),
+                     "--examples", str(world_dir / "examples.jsonl"),
+                     "--iterations", "2", "--patience", "0", "--budget", "2",
+                     "--k", "3", "--params-out", str(params),
+                     "--history", str(history), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "iterations": 2, "params": str(params), "history": str(history)}
 
     def test_ask_with_scripted_llm_stub_matches_fixture(self, tmp_path, capsys,
                                                         monkeypatch):
@@ -248,6 +260,73 @@ class TestPipelineComposition:
         assert correct == len(records)
 
 
+    def test_sft_records_carry_the_policys_prompt(self, tmp_path, capsys):
+        """export-sft and warmup-format write the system and user turns the
+        chat policy generated under, and answer scoring conditions on the
+        answer prefix the policy generated its answer after."""
+        out, index_dir = tmp_path / "world", tmp_path / "idx"
+        assert main(["synth-world", "--entities", "15", "--relations", "2",
+                     "--hops", "2", "--density", "1.0", "--questions", "4",
+                     "--seed", "4", "--out", str(out)]) == 0
+        assert main(["ingest", "--corpus", str(out / "corpus.jsonl"),
+                     "--index", str(index_dir)]) == 0
+        examples = trajectory.read_examples_jsonl(out / "examples.jsonl")
+        requests = []
+        oracle = ChainOracleBehavior()
+
+        def logged(request):
+            requests.append(request)
+            return oracle(request)
+
+        with StubChatServer(logged) as server:
+            config = tmp_path / "engine.json"
+            config.write_text(json.dumps({
+                "llm": {"base_url": server.base_url, "model_name": "stub",
+                        "backoff_base": 0.01},
+                "retriever": {"index": str(index_dir)}}))
+            assert main(["explore", "--examples", str(out / "examples.jsonl"),
+                         "--policy", "llm", "--config", str(config),
+                         "--samples", "2", "--budget", "3",
+                         "--out", str(tmp_path / "trajs.jsonl")]) == 0
+            generated = list(requests)
+            assert main(["weigh", "--trajectories", str(tmp_path / "trajs.jsonl"),
+                         "--examples", str(out / "examples.jsonl"),
+                         "--mode", "posterior-logprob", "--policy", "llm",
+                         "--config", str(config), "--out", str(tmp_path / "w.jsonl")]) == 0
+            scored = requests[len(generated):]
+        assert main(["export-sft", "--weighted", str(tmp_path / "w.jsonl"),
+                     "--examples", str(out / "examples.jsonl"),
+                     "--out", str(tmp_path / "sft.jsonl")]) == 0
+        assert main(["warmup-format", "--examples", str(out / "examples.jsonl"),
+                     "--index", str(index_dir), "--k", "3",
+                     "--out", str(tmp_path / "warm.jsonl")]) == 0
+        capsys.readouterr()
+
+        # One job explores example by example, sample by sample; an episode
+        # opens with a request that carries no assistant prefix yet.
+        starts = [r["messages"] for r in generated if len(r["messages"]) == 2]
+        assert len(starts) == 2 * len(examples)
+        prompt = {}
+        for i, ex in enumerate(examples):
+            assert starts[2 * i] == starts[2 * i + 1]
+            prompt[ex.id] = starts[2 * i]
+        sft = [json.loads(line) for line in
+               (tmp_path / "sft.jsonl").read_text().splitlines()]
+        warm = [json.loads(line) for line in
+                (tmp_path / "warm.jsonl").read_text().splitlines()]
+        assert len(sft) == 2 * len(examples) and len(warm) == len(examples)
+        for rec in sft:
+            assert rec["messages"][:2] == prompt[rec["id"].rsplit("/", 1)[0]]
+        for rec in warm:
+            assert rec["messages"][:2] == prompt[rec["id"]]
+
+        answering = [r["messages"] for r in generated
+                     if r["messages"][-1]["role"] == "assistant"
+                     and r["messages"][-1]["content"].endswith(FINAL)]
+        assert all("score_completion" in r for r in scored)
+        assert [r["messages"] for r in scored] == answering
+
+
 class TestWarmupCommand:
     def test_warmup_format_cli(self, world_dir, tmp_path, capsys):
         assert main(["warmup-format", "--examples", str(world_dir / "examples.jsonl"),
@@ -335,6 +414,63 @@ class TestExitCodes:
         assert not (tmp_path / "t.jsonl").exists()
         assert len(err) == 1 and err[0].startswith("exsearch: error: VersionMismatch: ")
         assert "re-run `exsearch ingest`" in err[0]
+
+
+class TestTypedInputErrors:
+    """Defective input exits with its typed error on one stderr line."""
+
+    @staticmethod
+    def _error_line(result, code: int) -> str:
+        assert result.returncode == code
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1
+        return lines[0]
+
+    def test_ingest_non_string_id_exits_2(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": ["x"], "title": "t", "text": "a"}\n')
+        result = run_cli("ingest", "--corpus", str(corpus),
+                         "--index", str(tmp_path / "idx"))
+        line = self._error_line(result, 2)
+        assert line.startswith("exsearch: error: SchemaError: line 1: passage id")
+
+    def test_unknown_llm_config_key_exits_1(self, world_dir, tmp_path):
+        config = tmp_path / "engine.json"
+        config.write_text(json.dumps({"llm": {
+            "base_url": "http://127.0.0.1:9", "model_name": "stub", "timeout_s": 3}}))
+        result = run_cli("ask", "--question", "q", "--policy", "llm",
+                         "--config", str(config), "--world", str(world_dir / "world.json"))
+        line = self._error_line(result, 1)
+        assert line.startswith("exsearch: error: UsageError: ") and "timeout_s" in line
+
+    @pytest.mark.parametrize("kind, edit, message", [
+        pytest.param("world", lambda d: d.pop("relations"), "missing field 'relations'",
+                     id="world-without-relations"),
+        pytest.param("world", None, "Expecting", id="world-not-json"),
+        pytest.param("params", lambda d: d.pop("record_logits"),
+                     "missing field 'record_logits'", id="params-without-record-logits"),
+        pytest.param("params", None, "Expecting", id="params-not-json"),
+        pytest.param("params", lambda d: d.update(version=2),
+                     "unsupported params version 2", id="params-version-2"),
+    ])
+    def test_defective_file_exits_2_naming_path(self, world_dir, tmp_path, kind,
+                                                edit, message):
+        files = {"world": world_dir / "world.json", "params": tmp_path / "params.json"}
+        TabularPolicyParams.uniform(3, 2, 3).save(files["params"])
+        bad = tmp_path / f"bad-{kind}.json"
+        if edit is None:
+            bad.write_text("{not json")
+        else:
+            d = json.loads(files[kind].read_text())
+            edit(d)
+            bad.write_text(json.dumps(d))
+        files[kind] = bad
+        result = run_cli("ask", "--question", "ent0 rel0", "--world", str(files["world"]),
+                         "--params", str(files["params"]))
+        line = self._error_line(result, 2)
+        assert line.startswith(f"exsearch: error: MalformedFile: {bad}: ")
+        assert message in line
 
 
 class TestEvalRetrievalMetrics:

@@ -236,6 +236,27 @@ class TestJsonl:
         with pytest.raises(SchemaError, match="line 2"):
             read_passages_jsonl(path)
 
+    @pytest.mark.parametrize("field", ["id", "title", "text"])
+    def test_non_string_passage_field_names_line(self, tmp_path, field):
+        record = {"id": "p", "title": "t", "text": "x", field: 7}
+        path = tmp_path / "passages.jsonl"
+        path.write_text('{"id": "q", "title": "t", "text": "y"}\n' + json.dumps(record) + "\n")
+        with pytest.raises(SchemaError, match="line 2: passage id, title and text "
+                                              "must be strings"):
+            read_passages_jsonl(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("answers", "four"), ("answers", [4]), ("gold_passages", "p1"),
+        ("gold_subqueries", [["s"]]), ("gold_evidences", {"e": 1})])
+    def test_example_fields_must_be_lists_of_strings(self, tmp_path, field, value):
+        record = {"id": "x", "question": "q", "answers": ["a"], field: value}
+        path = tmp_path / "examples.jsonl"
+        path.write_text('{"id": "y", "question": "q", "answers": ["a"]}\n'
+                        + json.dumps(record) + "\n")
+        with pytest.raises(SchemaError, match=f"line 2: field '{field}' must be a "
+                                              "list of strings"):
+            read_examples_jsonl(path)
+
     def test_weighted_missing_weight_field(self):
         with pytest.raises(SchemaError, match="weight"):
             weighted_from_dict({"id": "x", "question": "q", "steps": []})
