@@ -11,6 +11,14 @@ generations. The wire protocol is the de-facto open chat-completion shape:
     response {"choices": [{"message": {"role", "content"},
                            "logprobs"?: {"content": [{"token", "logprob"}]}}]}
 
+Requests are JSON POSTs to ``<base_url>/chat/completions`` over the standard
+library's :mod:`http.client`. Connections stay open (HTTP/1.1 keep-alive),
+one per request in flight, and are reused by the next request from any
+thread; one the server has closed while idle is reopened before use.
+Proxies come from the environment (``http_proxy``, ``https_proxy``,
+``no_proxy``), resolved once per client; HTTPS is verified against the
+system trust store (``SSL_CERT_FILE``, ``SSL_CERT_DIR``).
+
 A trailing assistant message is treated as a prefix the model continues.
 ``score_completion`` requests per-token log-probabilities of the given text
 conditioned on the messages; servers without log-probability support simply
@@ -22,16 +30,26 @@ SFT records of :mod:`exsearch.training` share.
 
 from __future__ import annotations
 
+import http.client
+import json
+import math
 import os
 import random
 import re
+import select
+import socket
+import ssl
 import threading
 import time
+import urllib.parse
+import urllib.request
+import weakref
+from base64 import b64encode
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
-import requests
 
 from .errors import AuthError, EndpointError, LogprobsUnsupported, NoDocuments, Timeout
 from .policy import PolicyDecision, PolicyState
@@ -120,16 +138,89 @@ class EndpointConfig:
     backoff_base: float = 1.0
 
     def __post_init__(self):
+        for name in ("base_url", "model_name", "api_key_env"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string")
+        try:
+            url = urllib.parse.urlsplit(self.base_url)
+            url.port
+        except ValueError as exc:  # a malformed port or IPv6 literal
+            raise ValueError(f"base_url {self.base_url!r}: {exc}") from None
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base_url must be an http:// or https:// URL naming a "
+                             f"host, got {self.base_url!r}")
+        for name in ("timeout", "backoff_base"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number")
+        for name in ("max_retries", "parallelism_cap"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
+        if self.backoff_base < 0:
+            raise ValueError("backoff_base must be >= 0")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
         if self.parallelism_cap < 1:
             raise ValueError("parallelism_cap must be >= 1")
         if self.supports_logprobs not in ("yes", "no", "probe"):
             raise ValueError("supports_logprobs must be yes, no or probe")
 
 
+class _ConnectFailed(OSError):
+    """The connection to the endpoint (or its proxy) could not be opened."""
+
+
+def _dropped(sock: socket.socket) -> bool:
+    """Whether an idle kept-alive socket is readable: the server has closed
+    it (or sent bytes no request asked for), so it must not be reused."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+    while connections:
+        connections.pop().close()
+
+
+def _head(body: bytes) -> str:
+    """The start of an error response's body, for the error message."""
+    return body.decode("utf-8", "replace")[:200]
+
+
+def _environment_proxy(scheme: str, origin: str) -> tuple[tuple[str, int] | None,
+                                                         dict[str, str]]:
+    """The proxy the environment names for ``scheme://origin`` (None when it
+    names none or ``no_proxy`` exempts the origin) and the headers that
+    authenticate to it."""
+    proxies = urllib.request.getproxies()
+    proxy = proxies.get(scheme) or proxies.get("all")
+    if not proxy or urllib.request.proxy_bypass(origin):
+        return None, {}
+    url = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    if url.scheme != "http" or not url.hostname:
+        raise ValueError(f"unsupported proxy {proxy!r}: need http://host[:port]")
+    address = (url.hostname, url.port or 80)
+    if url.username is None:
+        return address, {}
+    user = urllib.parse.unquote(url.username)
+    password = urllib.parse.unquote(url.password or "")
+    token = b64encode(f"{user}:{password}".encode()).decode("ascii")
+    return address, {"Proxy-Authorization": f"Basic {token}"}
+
+
 class HttpChatClient:
     """Thread-safe chat-completion client with bounded parallelism.
+
+    Requests go over kept-alive connections, one per request in flight and
+    reused by whichever thread sends next; they are closed when the client
+    is garbage-collected. The target URL, the proxy and the TLS context are
+    resolved once, here.
 
     Retries transport errors and HTTP 429/5xx with exponential backoff
     (factor 2 plus jitter) up to ``max_retries``; 401/403 raise AuthError
@@ -141,7 +232,20 @@ class HttpChatClient:
 
     def __init__(self, config: EndpointConfig):
         self.config = config
-        self._session = requests.Session()
+        url = urllib.parse.urlsplit(f"{config.base_url.rstrip('/')}/chat/completions")
+        origin = url.netloc.rpartition("@")[2]
+        self._address = (url.hostname, url.port or (443 if url.scheme == "https" else 80))
+        self._path = urllib.parse.quote(url.path + (f"?{url.query}" if url.query else ""),
+                                        safe="!#$%&'()*+,/:;=?@[]~")
+        self._tls = ssl.create_default_context() if url.scheme == "https" else None
+        self._proxy, self._proxy_headers = _environment_proxy(url.scheme, origin)
+        if self._proxy is not None and self._tls is None:
+            # A plain-HTTP proxy takes the full URL in the request line.
+            self._path = f"http://{origin}{self._path}"
+        self._peer = self._proxy or self._address  # where connections go
+        # At most parallelism_cap connections exist: one per request in flight.
+        self._idle: list[http.client.HTTPConnection] = []
+        weakref.finalize(self, _close_all, self._idle)
         self._slots = threading.BoundedSemaphore(config.parallelism_cap)
         self._probe_lock = threading.Lock()
         self._unreachable: str | None = None
@@ -156,12 +260,61 @@ class HttpChatClient:
                 f"environment variable {self.config.api_key_env} is not set")
         return key
 
+    def _connection(self) -> http.client.HTTPConnection:
+        """An idle connection, closed first if the server dropped it, or a
+        new one. ``list.pop`` is atomic, so threads never share one."""
+        try:
+            conn = self._idle.pop()
+        except IndexError:
+            if self._tls is None:
+                return http.client.HTTPConnection(*self._peer, timeout=self.config.timeout)
+            conn = http.client.HTTPSConnection(*self._peer, timeout=self.config.timeout,
+                                               context=self._tls)
+            if self._proxy is not None:
+                conn.set_tunnel(*self._address, headers=self._proxy_headers)
+            return conn
+        if conn.sock is not None and _dropped(conn.sock):
+            conn.close()
+        return conn
+
+    def _send(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """One POST over a kept-alive connection: the status and the body.
+
+        The connection is closed after any error and after a response that
+        ends it, and goes back to the idle list either way (a closed one
+        reconnects when next used); a connection that cannot be opened
+        raises _ConnectFailed.
+        """
+        conn = self._connection()
+        try:
+            if conn.sock is None:
+                try:
+                    conn.connect()
+                except TimeoutError:
+                    raise
+                except OSError as exc:
+                    host, port = self._peer
+                    raise _ConnectFailed(f"cannot connect to {host}:{port}: {exc}") from exc
+            conn.request("POST", self._path, body, headers)
+            response = conn.getresponse()
+            data = response.read()
+            if response.will_close:
+                conn.close()
+            return response.status, data
+        except BaseException:
+            conn.close()
+            raise
+        finally:
+            self._idle.append(conn)
+
     def _request(self, payload: dict) -> dict:
         if self._unreachable is not None:
             raise EndpointError(f"endpoint unreachable: {self._unreachable}")
-        url = f"{self.config.base_url.rstrip('/')}/chat/completions"
         headers = {"Authorization": f"Bearer {self._api_key()}",
                    "Content-Type": "application/json"}
+        if self._tls is None:
+            headers.update(self._proxy_headers)
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         attempts = self.config.max_retries + 1
         last_error: Exception | None = None
         timed_out = False
@@ -171,27 +324,25 @@ class HttpChatClient:
                 time.sleep(delay * (1.0 + 0.1 * random.random()))
             try:
                 with self._slots:
-                    resp = self._session.post(url, json=payload, headers=headers,
-                                              timeout=self.config.timeout)
-            except requests.Timeout as exc:
+                    status, data = self._send(body, headers)
+            except TimeoutError as exc:
                 last_error, timed_out = exc, True
                 continue
-            except requests.RequestException as exc:
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            if resp.status_code in (401, 403):
-                raise AuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_error = EndpointError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+            if status in (401, 403):
+                raise AuthError(f"endpoint rejected credentials (HTTP {status})")
+            if status == 429 or status >= 500:
+                last_error = EndpointError(f"HTTP {status}: {_head(data)}")
                 continue
-            if resp.status_code != 200:
-                raise EndpointError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+            if status != 200:
+                raise EndpointError(f"HTTP {status}: {_head(data)}")
             try:
-                return resp.json()
+                return json.loads(data)
             except ValueError as exc:
                 raise EndpointError(f"endpoint returned non-JSON body: {exc}") from exc
-        if (isinstance(last_error, requests.ConnectionError)
-                and not isinstance(last_error, requests.Timeout)):
+        if isinstance(last_error, _ConnectFailed):
             self._unreachable = str(last_error)
         if timed_out:
             raise Timeout(f"no response within {self.config.timeout}s "

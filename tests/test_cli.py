@@ -444,6 +444,33 @@ class TestTypedInputErrors:
         line = self._error_line(result, 1)
         assert line.startswith("exsearch: error: UsageError: ") and "timeout_s" in line
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda llm: llm.update(timeout="3"), "timeout must be a finite number",
+                     id="string-timeout"),
+        pytest.param(lambda llm: llm.update(base_url=llm["base_url"].replace(
+            "http://127.0.0.1", "localhost")), "base_url must be an http:// or https:// URL",
+            id="base-url-without-scheme"),
+    ])
+    def test_ill_typed_llm_config_exits_1_before_any_request(self, world_dir, tmp_path,
+                                                             edit, message):
+        received = []
+
+        def behavior(request):
+            received.append(request)
+            return 200, {"choices": [{"message": {"content": f"{FINAL} x"}}]}
+
+        with StubChatServer(behavior) as server:
+            llm = {"base_url": server.base_url, "model_name": "stub"}
+            edit(llm)
+            config = tmp_path / "engine.json"
+            config.write_text(json.dumps({"llm": llm}))
+            result = run_cli("ask", "--question", "q", "--policy", "llm",
+                             "--config", str(config),
+                             "--world", str(world_dir / "world.json"))
+        line = self._error_line(result, 1)
+        assert line.startswith("exsearch: error: ValueError: ") and message in line
+        assert received == []
+
     @pytest.mark.parametrize("kind, edit, message", [
         pytest.param("world", lambda d: d.pop("relations"), "missing field 'relations'",
                      id="world-without-relations"),

@@ -1,9 +1,15 @@
+import json
+import os
+import socket
+import subprocess
+import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
-from exsearch.errors import AuthError, EndpointError, LogprobsUnsupported
+from exsearch.errors import AuthError, EndpointError, LogprobsUnsupported, Timeout
 from exsearch.llm import (
     ChatTurn,
     EndpointConfig,
@@ -11,7 +17,8 @@ from exsearch.llm import (
     build_system_prompt,
     build_user_turn,
 )
-from exsearch.stub import ChainOracleBehavior, FlakyBehavior, ScriptedBehavior, StubChatServer
+from exsearch.stub import (ChainOracleBehavior, FlakyBehavior, ScriptedBehavior, StubChatServer,
+                           chat_response)
 from exsearch.trajectory import ScoredPassage, Step, Trajectory
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -20,6 +27,49 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def make_config(server, **kw):
     kw.setdefault("backoff_base", 0.01)
     return EndpointConfig(base_url=server.base_url, model_name="stub", **kw)
+
+
+class KeepAliveOnceServer:
+    """Raw-socket HTTP/1.1 server that answers one request per connection
+    with a keep-alive response, then closes the connection the client
+    holds idle. ``closed`` is set each time it has closed one."""
+
+    def __init__(self, content: str = "ok"):
+        self.body = json.dumps(chat_response(content)).encode("utf-8")
+        self.connections = 0
+        self.closed = threading.Event()
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    @property
+    def base_url(self) -> str:
+        return f"http://127.0.0.1:{self._listener.getsockname()[1]}/v1"
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            self.connections += 1
+            with conn, conn.makefile("rb") as request:
+                length = 0
+                while (line := request.readline()) not in (b"\r\n", b""):
+                    if line.lower().startswith(b"content-length:"):
+                        length = int(line.split(b":")[1])
+                request.read(length)
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                             b"Connection: keep-alive\r\n"
+                             b"Content-Length: %d\r\n\r\n" % len(self.body) + self.body)
+            self.closed.set()
+
+    def __enter__(self) -> "KeepAliveOnceServer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._listener.close()
+        self._thread.join(timeout=5)
 
 
 def simple_trajectory():
@@ -79,15 +129,66 @@ class TestComplete:
             config = make_config(server, max_retries=2)
         client = HttpChatClient(config)
         posts = []
-        real_post = client._session.post
-        monkeypatch.setattr(client._session, "post",
-                            lambda *a, **kw: posts.append(1) or real_post(*a, **kw))
+        real_send = client._send
+        monkeypatch.setattr(client, "_send",
+                            lambda *a, **kw: posts.append(1) or real_send(*a, **kw))
         with pytest.raises(EndpointError, match="after 3 attempts"):
             client.complete([ChatTurn("user", "u")], [])
         for _ in range(3):
             with pytest.raises(EndpointError, match="^endpoint unreachable: "):
                 client.complete([ChatTurn("user", "u")], [])
         assert len(posts) == 3 and len(sleeps) == 2
+
+    def test_reopens_a_kept_alive_connection_the_server_closed(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("exsearch.llm.time.sleep", sleeps.append)
+        with KeepAliveOnceServer() as server:
+            client = HttpChatClient(make_config(server, max_retries=0))
+            assert client.complete([ChatTurn("user", "u")], []) == "ok"
+            assert server.closed.wait(5)
+            assert client.complete([ChatTurn("user", "u")], []) == "ok"
+        assert server.connections == 2 and sleeps == []
+
+    def test_stalled_endpoint_times_out_and_stays_reachable(self, monkeypatch):
+        stalled = []
+        both_stalled = threading.Event()
+
+        def behavior(request):
+            if len(stalled) < 2:
+                time.sleep(0.3)
+                stalled.append(1)
+                if len(stalled) == 2:
+                    both_stalled.set()
+                return 200, chat_response("late")
+            return 200, chat_response("ok")
+
+        with StubChatServer(behavior) as server:
+            client = HttpChatClient(make_config(server, timeout=0.1, max_retries=1))
+            sends = []
+            real_send = client._send
+            monkeypatch.setattr(client, "_send",
+                                lambda *a, **kw: sends.append(1) or real_send(*a, **kw))
+            with pytest.raises(Timeout, match="after 2 attempts"):
+                client.complete([ChatTurn("user", "u")], [])
+            assert len(sends) == 2
+            assert both_stalled.wait(5)
+            assert client.complete([ChatTurn("user", "u")], []) == "ok"
+
+    def test_http_proxy_from_the_environment_carries_the_request(self, monkeypatch):
+        received = []
+
+        def behavior(request):
+            received.append(request)
+            return 200, chat_response("via proxy")
+
+        for name in ("no_proxy", "NO_PROXY", "all_proxy", "ALL_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        with StubChatServer(behavior) as proxy:
+            monkeypatch.setenv("http_proxy", proxy.base_url.rsplit("/", 1)[0])
+            client = HttpChatClient(EndpointConfig(base_url="http://endpoint.invalid/v1",
+                                                   model_name="stub", max_retries=0))
+            assert client.complete([ChatTurn("user", "u")], []) == "via proxy"
+        assert [r["model"] for r in received] == ["stub"]
 
     def test_server_errors_do_not_mark_client_unreachable(self):
         behavior = FlakyBehavior([500] * 3, ScriptedBehavior(["ok"]))
@@ -151,6 +252,45 @@ class TestComplete:
         assert active["peak"] <= 2
 
 
+    def test_threads_share_at_most_cap_kept_alive_connections(self):
+        def echo(request):
+            return 200, chat_response(request["messages"][-1]["content"])
+
+        server = StubChatServer(echo)
+        server._server.RequestHandlerClass.protocol_version = "HTTP/1.1"
+        accepted = []
+        process = server._server.process_request
+        server._server.process_request = lambda *a: accepted.append(1) or process(*a)
+        wrong = []
+
+        def worker(client, t):
+            for i in range(15):
+                text = f"thread {t} request {i}"
+                try:
+                    got = client.complete([ChatTurn("user", text)], [])
+                except EndpointError as exc:
+                    got = exc
+                if got != text:
+                    wrong.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with server:
+                client = HttpChatClient(make_config(server, parallelism_cap=3))
+                threads = [threading.Thread(target=worker, args=(client, t))
+                           for t in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+        assert 1 <= len(accepted) <= 3
+
+
 class TestScoring:
     def test_token_logprobs_are_summed(self):
         script = [{"content": "four times",
@@ -202,3 +342,42 @@ class TestScoring:
                                                   " ".join(words[:n]))
                       for n in range(1, len(words) + 1)]
         assert all(b <= a for a, b in zip(scores, scores[1:]))
+
+
+class TestEndpointConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("base_url", "localhost:8000/v1"),
+        ("base_url", "ftp://host/v1"),
+        ("base_url", "http:///v1"),
+        ("base_url", "http://host:port/v1"),
+        ("model_name", 3),
+        ("api_key_env", None),
+        ("timeout", "3"),
+        ("timeout", True),
+        ("timeout", float("inf")),
+        ("timeout", 0),
+        ("backoff_base", -1.0),
+        ("max_retries", 2.0),
+        ("max_retries", -1),
+        ("parallelism_cap", "4"),
+        ("parallelism_cap", 0),
+    ])
+    def test_rejects_ill_typed_or_out_of_range_values(self, field, value):
+        kw = {"base_url": "http://127.0.0.1:9/v1", "model_name": "stub", field: value}
+        with pytest.raises(ValueError, match=field):
+            EndpointConfig(**kw)
+
+    def test_accepts_integer_timeouts_and_https(self):
+        config = EndpointConfig(base_url="https://example.org/v1", model_name="m",
+                                timeout=3, backoff_base=0)
+        assert config.timeout == 3
+
+
+def test_importing_exsearch_leaves_requests_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, exsearch, exsearch.cli, exsearch.stub; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
