@@ -3,9 +3,12 @@
 Exact training weights every trajectory by the true posterior (a
 forward-backward pass over the policy's (hop, entity) lattice), so each
 re-weighted update cannot decrease the training log-likelihood. This demo
-prints the per-iteration curve and checks the bound, then the ELBO identity
-with the exhaustive-enumeration oracle.
+prints the per-iteration curve and checks the bound, then the ELBO identity:
+the lattice's ELBO plus the entropy of the posterior over enumerated
+trajectories equals the enumerated log-marginal.
 """
+
+import math
 
 from exsearch import (
     AgentConfig,
@@ -14,13 +17,12 @@ from exsearch import (
     TabularPolicyParams,
     TrainConfig,
     build_index,
-    compute_elbo,
-    e_step,
     em_train,
     generate_world,
     make_questions,
     render_corpus,
 )
+from exsearch.policy import Lattice
 from exsearch.synth import best_relation_sequence
 from exsearch.training import posterior_entropy
 
@@ -50,14 +52,19 @@ def main():
     logliks = [r.train_loglik for r in reports]
     print("\nnon-decreasing:", all(b >= a - 1e-9 for a, b in zip(logliks, logliks[1:])))
 
-    # the exploration weights are the exact posterior, so adding their
-    # entropy back recovers the marginal exactly
+    # the lattice's ELBO scores its exact posterior, so adding the entropy of
+    # that posterior (over enumerated trajectories) back recovers the marginal
     trained = TabularPolicy(params, world.relations)
-    (batch,) = e_step(questions[:1], trained, retriever,
-                      TrainConfig(e_step_mode="exact-enumeration"), agent_config)
-    elbo = compute_elbo(trained, [batch], retriever)
-    entropy = posterior_entropy([wt.weight for wt in batch.items])
-    marginal = trained.exact_marginal_set(questions[0], retriever, 2, 3)
+    example = questions[0]
+    elbo = Lattice(trained, example, retriever, 2, 3).posterior.log_prob(trained)
+    marginal = trained.exact_marginal_set(example, retriever, 2, 3)
+    posterior: dict = {}
+    for trajectory, answer, logp in trained.enumerate_trajectories(example, retriever,
+                                                                   2, 3):
+        if answer in example.gold_answers:
+            posterior[trajectory] = (posterior.get(trajectory, 0.0)
+                                     + math.exp(logp - marginal))
+    entropy = posterior_entropy(posterior.values())
     print(f"\nELBO {elbo:.9f} + posterior entropy {entropy:.9f} "
           f"= {elbo + entropy:.9f}")
     print(f"exact log-marginal                          = {marginal:.9f}")

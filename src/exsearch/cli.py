@@ -212,7 +212,7 @@ def _group_by_example(records, examples):
     by_id = {ex.id: ex for ex in examples}
     groups: dict[str, list] = {ex.id: [] for ex in examples}
     for rec in records:
-        ex_id, _, sample = rec_id_parts(rec[0] if isinstance(rec, tuple) else rec.id)
+        ex_id, sample = rec_id_parts(rec[0] if isinstance(rec, tuple) else rec.id)
         if ex_id not in by_id:
             raise UnknownId(f"trajectory references unknown example id {ex_id!r}")
         groups[ex_id].append((sample, rec))
@@ -221,14 +221,16 @@ def _group_by_example(records, examples):
     return by_id, groups
 
 
-def rec_id_parts(record_id: str) -> tuple[str, str, int]:
+def rec_id_parts(record_id: str) -> tuple[str, int]:
+    """(example id, sample index) of an ``<example id>/<sample index>`` record
+    id; an id without an integer suffix is the example id, at sample 0."""
     ex_id, sep, sample = record_id.rpartition("/")
     if not sep:
-        return record_id, "", 0
+        return record_id, 0
     try:
-        return ex_id, sep, int(sample)
+        return ex_id, int(sample)
     except ValueError:
-        return record_id, "", 0
+        return record_id, 0
 
 
 def cmd_weigh(args, config: dict) -> int:
@@ -311,7 +313,7 @@ def cmd_eval(args, config: dict) -> int:
         recs = trajectory.read_trajectories_jsonl(args.trajectories)
         trajectories = {}
         for rec in recs:
-            ex_id, _, _ = rec_id_parts(rec.id)
+            ex_id, _sample = rec_id_parts(rec.id)
             trajectories.setdefault(ex_id, rec.trajectory)
         retriever = _load_retriever(args, config)
         lookup = retriever.get

@@ -564,9 +564,9 @@ class Lattice:
     log p(gold | x), or LOG_FLOOR when no path reaches a gold answer. The
     backward pass runs on first use of :attr:`posterior`; it gives the
     posterior mass of every edge given the gold answers, aggregated on the
-    decision factors (a :class:`FactorMass`) that :meth:`counts` and
-    :meth:`elbo` read. A lattice has no signal (:attr:`posterior` is None)
-    when no path reaches a gold answer.
+    decision factors (a :class:`FactorMass`): its counts under the lattice's
+    policy are the exact E-step, its log-probability the ELBO. A lattice has
+    no signal (:attr:`posterior` is None) when no path reaches a gold answer.
     """
 
     def __init__(self, policy: TabularPolicy, example: Example,
@@ -672,13 +672,3 @@ class Lattice:
                     before[entity] = logsumexp(terms)
             after = before
         return posterior
-
-    def counts(self) -> ExpectedCounts | None:
-        """Posterior expected counts of every head, split within a factor by
-        the policy that built the lattice; None without signal."""
-        return None if self.posterior is None else self.posterior.counts(self.policy)
-
-    def elbo(self, policy: TabularPolicy) -> float | None:
-        """The posterior's expected log-probability under ``policy``; None
-        without signal."""
-        return None if self.posterior is None else self.posterior.log_prob(policy)

@@ -3,25 +3,21 @@ re-weighted closed-form updates for the tabular policy, likelihood/ELBO
 tracking, early stopping, and weighted training-data export in the chat
 format of :func:`exsearch.llm.chat_turns`.
 
-Each iteration explores trajectories under the current policy (sampled
-episodes, or the exact posterior over all of them), weights them by how well
-they support the gold answer, and refits the policy's categorical heads on
-the weighted choices. Weights are normalized per example with a
-max-subtracted softmax over the raw log-weights. With exact weighting and
-the closed-form update, the mean training log-likelihood is non-decreasing
-across iterations (up to the additive smoothing, which is kept tiny to avoid
-zero-probability lock-in).
+Each iteration weights search trajectories by how well they support the
+gold answer and refits the policy's categorical heads on the weighted
+choices. With exact weighting and the closed-form update, the mean training
+log-likelihood is non-decreasing across iterations (up to the additive
+smoothing, which is kept tiny to avoid zero-probability lock-in).
 
 In exact mode :func:`em_train` runs one forward-backward pass per example
 and parameter set on the policy's (hop, entity) :class:`~.policy.Lattice`:
 the pass gives the expected counts, the ELBO and the log-likelihood, so no
-trajectory is enumerated. In sampled mode :func:`m_step_tabular` and
-:func:`compute_elbo` are the M-step and the ELBO: they replay each weighted
-trajectory into its decision factors and count and score those with the
-methods the lattice uses (:class:`~.policy.FactorMass`). Fed by ``e_step``
-in ``exact-enumeration`` mode, which alone is bounded by the enumeration cap
-of :meth:`~.policy.TabularPolicy.enumerate_trajectories`, they are the oracle
-the lattice is checked against.
+trajectory is enumerated. In sampled mode :func:`e_step` samples episodes
+and weights them per example with a max-subtracted softmax over the raw
+log-weights; :func:`m_step_tabular` and :func:`compute_elbo` are the M-step
+and the ELBO. They replay each weighted trajectory into its decision
+factors and count and score those with the methods the lattice's posterior
+uses (:class:`~.policy.FactorMass`).
 
 Raw weights come in two families: ``posterior-logprob`` uses the policy's
 own log-likelihood of the gold answer given the trajectory, while the
@@ -141,21 +137,6 @@ def normalize_weights(raw_log_weights: Sequence[float]) -> np.ndarray:
     return softmax(raw_log_weights)
 
 
-def _weighted_batch(example: Example, entries: list[tuple[Trajectory, str, float]],
-                    weight_mode: str, failures: int = 0,
-                    drop_zero: bool = False) -> ExampleBatch:
-    if not entries:
-        return ExampleBatch(example=example, items=[], failures=failures)
-    weights = normalize_weights([raw for _t, _a, raw in entries])
-    items = [
-        WeightedTrajectory(trajectory=t, answer=a, log_weight=raw,
-                           weight=float(w), weight_mode=weight_mode)
-        for (t, a, raw), w in zip(entries, weights)
-        if not (drop_zero and w == 0.0)
-    ]
-    return ExampleBatch(example=example, items=items, failures=failures)
-
-
 def explore(examples: Sequence[Example], policy, retriever: Retriever,
             agent_config: AgentConfig, samples: int, seed: int = 0,
             sample_base: int = 0, jobs: int = 1) -> list[Exploration]:
@@ -200,44 +181,33 @@ def weigh(example: Example, samples: Sequence[tuple[Trajectory, str]],
     else:
         reward = REWARD_FNS[weight_mode]
         entries = [(t, a, float(reward(a, golds))) for t, a in samples]
-    return _weighted_batch(example, entries, weight_mode, failures)
-
-
-def _e_step_exact_one(example: Example, policy: TabularPolicy,
-                      retriever: Retriever, agent_config: AgentConfig) -> ExampleBatch:
-    leaves = policy.enumerate_trajectories(example, retriever,
-                                           agent_config.budget, agent_config.k)
-    golds = set(example.gold_answers)
-    per_traj: dict[Trajectory, list[float]] = {}
-    for trajectory, answer, logp in leaves:
-        per_traj.setdefault(trajectory, [])
-        if answer in golds:
-            per_traj[trajectory].append(logp)
-    gold_answer = example.gold_answers[0]
-    entries = [(t, gold_answer, logsumexp(terms) if terms else LOG_FLOOR)
-               for t, terms in per_traj.items()]
-    return _weighted_batch(example, entries, "posterior-logprob", drop_zero=True)
+    if not entries:
+        return ExampleBatch(example=example, items=[], failures=failures)
+    weights = normalize_weights([raw for _t, _a, raw in entries])
+    items = [WeightedTrajectory(trajectory=t, answer=a, log_weight=raw,
+                                weight=float(w), weight_mode=weight_mode)
+             for (t, a, raw), w in zip(entries, weights)]
+    return ExampleBatch(example=example, items=items, failures=failures)
 
 
 def e_step(examples: Sequence[Example], policy, retriever: Retriever,
            config: TrainConfig, agent_config: AgentConfig, seed: int = 0,
            sample_base: int = 0, jobs: int = 1) -> list[ExampleBatch]:
-    """Explore and weight trajectories for every example.
+    """The sampled E-step: explore and weight trajectories for every example.
 
-    Sampled mode runs ``samples_per_example`` episodes per example with
-    isolated RNG streams (:func:`explore`) and weights them (:func:`weigh`);
-    an example whose endpoint cannot score log-probabilities is weighted
-    under ``reward-em`` instead. Exact mode enumerates the full trajectory
-    space (raising EnumerationTooLarge beyond the cap of
-    :meth:`~.policy.TabularPolicy.enumerate_trajectories`) and weights each
-    trajectory by the true posterior given the gold answer. Per-example
-    failures are recorded on the batch and never abort the run.
+    Runs ``samples_per_example`` episodes per example with isolated RNG
+    streams (:func:`explore`) and weights them (:func:`weigh`); an example
+    whose endpoint cannot score log-probabilities is weighted under
+    ``reward-em`` instead. Per-example failures are recorded on the batch and
+    never abort the run. The exact E-step is the lattice's backward pass,
+    which :func:`em_train` runs itself; an exact ``config`` raises
+    ValueError.
     """
     if not examples:
         raise ValueError("e_step needs a non-empty dataset")
-    if config.e_step_mode == "exact-enumeration":
-        return [_e_step_exact_one(ex, policy, retriever, agent_config)
-                for ex in examples]
+    if config.e_step_mode != "sampled":
+        raise ValueError(f"e_step samples; {config.e_step_mode!r} mode runs on "
+                         "the lattice in em_train")
     batches = []
     for found in explore(examples, policy, retriever, agent_config,
                          config.samples_per_example, seed, sample_base, jobs):
@@ -400,11 +370,12 @@ def _lattice_iteration(policy: TabularPolicy, lattices: Sequence[Lattice],
     """The exact E- and M-step from lattices built under ``policy``: the
     updated policy and the ELBO of the lattices' posteriors under it."""
     counts = ExpectedCounts.zeros(policy.params)
-    signal = [lat for lat in lattices if lat.has_signal]
-    for lat in signal:
-        counts.add(lat.counts())
+    posteriors = [lat.posterior for lat in lattices if lat.has_signal]
+    for mass in posteriors:
+        counts.add(mass.counts(policy))
     policy = policy.with_params(update_from_counts(policy.params, counts, smoothing))
-    elbo = float(np.mean([lat.elbo(policy) for lat in signal])) if signal else 0.0
+    elbo = (float(np.mean([mass.log_prob(policy) for mass in posteriors]))
+            if posteriors else 0.0)
     return policy, elbo
 
 

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from exsearch import agent, retrieval, synth
-from exsearch.policy import TabularPolicy, TabularPolicyParams
-from exsearch.trajectory import Passage, ScoredPassage, Step, Trajectory
+from exsearch.policy import LOG_FLOOR, TabularPolicy, TabularPolicyParams, logsumexp
+from exsearch.training import ExampleBatch, normalize_weights
+from exsearch.trajectory import (
+    Passage,
+    ScoredPassage,
+    Step,
+    Trajectory,
+    WeightedTrajectory,
+)
 
 SAT = 1000.0  # logit scale at which the minor branch underflows to exactly 0
 
@@ -87,6 +94,31 @@ def chain_following_policy(world, relation_sequence, budget: int, k: int) -> Tab
         record_logits=one_hot(k, 0),
         answer_logits=one_hot(2, 0),
     ), world.relations)
+
+
+def exact_posterior_batches(examples, policy: TabularPolicy,
+                            retriever: retrieval.Retriever, budget: int,
+                            k: int) -> list[ExampleBatch]:
+    """Every trajectory of each example, enumerated and weighted by its exact
+    posterior given the gold answers (trajectories of weight 0 left out):
+    the enumeration oracle for the lattice's E-step."""
+    batches = []
+    for example in examples:
+        golds = set(example.gold_answers)
+        per_traj: dict[Trajectory, list[float]] = {}
+        for trajectory, answer, logp in policy.enumerate_trajectories(
+                example, retriever, budget, k):
+            per_traj.setdefault(trajectory, [])
+            if answer in golds:
+                per_traj[trajectory].append(logp)
+        raws = [logsumexp(terms) if terms else LOG_FLOOR for terms in per_traj.values()]
+        weights = normalize_weights(raws)
+        items = [WeightedTrajectory(trajectory=t, answer=example.gold_answers[0],
+                                    log_weight=raw, weight=float(w),
+                                    weight_mode="posterior-logprob")
+                 for t, raw, w in zip(per_traj, raws, weights) if w != 0.0]
+        batches.append(ExampleBatch(example=example, items=items))
+    return batches
 
 
 def make_retriever(passages) -> retrieval.Retriever:

@@ -14,7 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import chain_following_policy, random_trajectory, uniform_policy
+from conftest import (
+    chain_following_policy,
+    exact_posterior_batches,
+    random_trajectory,
+    uniform_policy,
+)
 from exsearch import agent, metrics, retrieval, synth, training
 from exsearch.agent import AgentConfig, parse_rank_directive
 from exsearch.cli import main
@@ -87,9 +92,7 @@ def test_elbo_tightness_and_jensen():
     for seed in range(5):
         world, questions, retriever = training_world(seed)
         policy = uniform_policy(world, budget=2, k=3)
-        config = training.TrainConfig(e_step_mode="exact-enumeration")
-        acfg = AgentConfig(budget=2, k=3)
-        batches = training.e_step(questions, policy, retriever, config, acfg)
+        batches = exact_posterior_batches(questions, policy, retriever, 2, 3)
         for batch in batches:
             elbo = training.compute_elbo(policy, [batch], retriever)
             entropy = training.posterior_entropy([wt.weight for wt in batch.items])

@@ -132,6 +132,26 @@ class TestTrainAndAsk:
         assert json.loads(capsys.readouterr().out) == {
             "iterations": 2, "params": str(params), "history": str(history)}
 
+    def test_sampled_train_is_unchanged_by_jobs(self, world_dir, tmp_path, capsys):
+        for jobs in ("1", "4"):
+            assert main(["train", "--world", str(world_dir / "world.json"),
+                         "--examples", str(world_dir / "examples.jsonl"),
+                         "--mode", "sampled", "--samples", "3", "--iterations", "3",
+                         "--patience", "0", "--budget", "2", "--k", "3",
+                         "--seed", "5", "--jobs", jobs,
+                         "--params-out", str(tmp_path / f"params{jobs}.json"),
+                         "--history", str(tmp_path / f"history{jobs}.csv")]) == 0
+        capsys.readouterr()
+        assert ((tmp_path / "params4.json").read_bytes()
+                == (tmp_path / "params1.json").read_bytes())
+        histories = []
+        for jobs in ("1", "4"):
+            with open(tmp_path / f"history{jobs}.csv") as fh:
+                histories.append([{k: v for k, v in row.items() if k != "wall_time"}
+                                  for row in csv.DictReader(fh)])
+        assert len(histories[0]) == 3
+        assert histories[1] == histories[0]
+
     def test_ask_with_scripted_llm_stub_matches_fixture(self, tmp_path, capsys,
                                                         monkeypatch):
         corpus = tmp_path / "corpus.jsonl"

@@ -68,6 +68,11 @@ class KeepAliveOnceServer:
         return self
 
     def __exit__(self, *exc) -> None:
+        # close() alone does not wake a thread blocked in accept() on Linux
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._listener.close()
         self._thread.join(timeout=5)
 
@@ -226,31 +231,43 @@ class TestComplete:
         assert len(statuses) == 1
 
     def test_parallelism_cap_is_respected(self):
+        # The stub runs its behavior under a lock, so requests in flight are
+        # counted in the handler: from a parsed request to its response,
+        # whose first byte the client cannot read before send_response.
         active = {"now": 0, "peak": 0}
         lock = threading.Lock()
-        release = threading.Event()
 
         def behavior(request):
+            time.sleep(0.05)  # time for every uncapped request to arrive
+            return 200, {"choices": [{"message": {"content": "x"}}]}
+
+        server = StubChatServer(behavior)
+        handler = server._server.RequestHandlerClass
+        parse, respond = handler.parse_request, handler.send_response
+
+        def parse_request(h):
             with lock:
                 active["now"] += 1
                 active["peak"] = max(active["peak"], active["now"])
-            release.wait(0.2)
+            return parse(h)
+
+        def send_response(h, *args):
             with lock:
                 active["now"] -= 1
-            return 200, {"choices": [{"message": {"content": "x"}}]}
+            respond(h, *args)
 
-        with StubChatServer(behavior) as server:
+        handler.parse_request, handler.send_response = parse_request, send_response
+        with server:
             client = HttpChatClient(make_config(server, parallelism_cap=2))
             threads = [threading.Thread(
                 target=lambda: client.complete([ChatTurn("user", "u")], []))
                 for _ in range(6)]
             for t in threads:
                 t.start()
-            release.set()
             for t in threads:
-                t.join()
+                t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
         assert active["peak"] <= 2
-
 
     def test_threads_share_at_most_cap_kept_alive_connections(self):
         def echo(request):

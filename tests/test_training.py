@@ -6,7 +6,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_following_policy, chain_world, one_hot, uniform_policy
+from conftest import (
+    chain_following_policy,
+    chain_world,
+    exact_posterior_batches,
+    one_hot,
+    uniform_policy,
+)
 from exsearch.agent import AgentConfig
 from exsearch.errors import MissingAnnotation, UnrealizableTrajectory
 from exsearch.policy import (
@@ -141,13 +147,21 @@ class TestEStep:
             record_logits=one_hot(1, 0), answer_logits=one_hot(2, 0))
         policy = TabularPolicy(params, world.relations)
         examples = [Example(id="e", question="A r1", gold_answers=("B",))]
-        config = TrainConfig(e_step_mode="exact-enumeration")
-        (batch,) = e_step(examples, policy, retriever, config,
-                          AgentConfig(budget=1, k=1))
+        (batch,) = exact_posterior_batches(examples, policy, retriever, 1, 1)
         assert len(batch.items) == 2
         for wt in batch.items:
             assert wt.weight == pytest.approx(0.5, abs=1e-9)
             assert wt.answer == "B"
+        posterior = Lattice(policy, examples[0], retriever, 1, 1).posterior
+        np.testing.assert_allclose(posterior.think[0], [0.5, 0.5, 0.0], rtol=0, atol=1e-9)
+
+    def test_exact_mode_config_raises(self):
+        # exact mode runs on the lattice inside em_train, never through e_step
+        world, questions, retriever = chain_world(seed=2, density=1.0)
+        with pytest.raises(ValueError, match="lattice"):
+            e_step(questions, uniform_policy(world, budget=2, k=3), retriever,
+                   TrainConfig(e_step_mode="exact-enumeration"),
+                   AgentConfig(budget=2, k=3))
 
     def test_weights_sum_to_one_per_example(self):
         world, questions, retriever = chain_world(seed=2, density=1.0)
@@ -369,9 +383,7 @@ class TestElbo:
     def test_exact_posterior_weights_make_elbo_tight(self):
         world, retriever, policy = self.two_branch_rig()
         example = Example(id="e", question="A r1", gold_answers=("B",))
-        config = TrainConfig(e_step_mode="exact-enumeration")
-        (batch,) = e_step([example], policy, retriever, config,
-                          AgentConfig(budget=1, k=1))
+        (batch,) = exact_posterior_batches([example], policy, retriever, 1, 1)
         elbo = compute_elbo(policy, [batch], retriever)
         entropy = posterior_entropy([wt.weight for wt in batch.items])
         marginal = policy.exact_marginal("A r1", retriever, "B", 1, 1)
@@ -682,7 +694,7 @@ def lattice_counts(lattices, params):
     counts = ExpectedCounts.zeros(params)
     for lat in lattices:
         if lat.has_signal:
-            counts.add(lat.counts())
+            counts.add(lat.posterior.counts(lat.policy))
     return counts
 
 
@@ -695,7 +707,8 @@ def reference_em(examples, policy, retriever, config, acfg):
     """em_train's exact mode as enumeration, replay and exact marginals."""
     reports = []
     for iteration in range(config.iterations):
-        batches = e_step(examples, policy, retriever, config, acfg)
+        batches = exact_posterior_batches(examples, policy, retriever,
+                                          acfg.budget, acfg.k)
         policy = policy.with_params(m_step_tabular(policy.params, batches,
                                                    policy.relations, retriever,
                                                    config.smoothing))
@@ -734,8 +747,7 @@ class TestLatticeOracle:
                 assert policy.trajectory_log_prob(t, retriever, a) == pytest.approx(
                     logp, rel=0, abs=1e-9)
 
-        batches = e_step(examples, policy, retriever,
-                         TrainConfig(e_step_mode="exact-enumeration"), acfg)
+        batches = exact_posterior_batches(examples, policy, retriever, budget, k)
         enumerated = expected_counts(policy.params, batches, policy.relations, retriever)
         counts = lattice_counts(lattices, policy.params)
         for head in ("think", "record", "answer"):
@@ -754,7 +766,8 @@ class TestLatticeOracle:
         signal = [lat for lat in lattices if lat.has_signal]
         for scorer, rel in ((policy, 0), (policy.with_params(updated), 0),
                             (policy.with_params(reversed_heads), 1e-12)):
-            elbo = float(np.mean([lat.elbo(scorer) for lat in signal])) if signal else 0.0
+            elbo = (float(np.mean([lat.posterior.log_prob(scorer) for lat in signal]))
+                    if signal else 0.0)
             assert elbo == pytest.approx(compute_elbo(scorer, batches, retriever),
                                          rel=rel, abs=1e-9)
 
