@@ -30,6 +30,7 @@ from .training import (
     e_step,
     em_train,
     export_weighted_sft,
+    factor_masses,
     m_step_tabular,
     normalize_weights,
     warmup_format,

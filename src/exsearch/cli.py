@@ -424,7 +424,9 @@ def build_parser() -> _Parser:
     p.add_argument("--questions", type=int, default=20)
     p.add_argument("--align-relations", dest="align_relations", action="store_true",
                    help="restrict questions to one shared relation sequence "
-                        "(learnable by the hop-keyed tabular policy)")
+                        "(learnable by the hop-keyed tabular policy); needs a "
+                        "dense world, e.g. --density 1.0 --questions 10, or "
+                        "exits 2 with InfeasibleWorld")
     p.add_argument("--distinct-nodes", dest="distinct_nodes", action="store_true",
                    help="exclude chains that revisit an entity")
     p.add_argument("--out", required=True)

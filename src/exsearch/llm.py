@@ -76,6 +76,8 @@ Your Output:"""
 # The tag grammar tolerates all final-token spellings the prompt and parser
 # know about, so generation halts wherever the model announces its answer.
 GENERATION_STOPS = [SEARCH, *FINAL_VARIANTS]
+# Token limit of a generation; an episode's rank and answer generations use 64.
+MAX_TOKENS = 512
 
 _THINK_RE = re.compile(rf"{THINK}[ \t]*(.+)")
 _RECORD_RE = re.compile(rf"{RECORD}[ \t]*(.*)")
@@ -362,7 +364,7 @@ class HttpChatClient:
                 **options}
 
     def complete(self, turns: Sequence[ChatTurn], stop_sequences: Sequence[str],
-                 max_tokens: int = 512) -> str:
+                 max_tokens: int = MAX_TOKENS) -> str:
         """Run one generation and return the assistant text."""
         payload = self._body(turns, max_tokens=max_tokens, stop=list(stop_sequences))
         message = self._message(self._request(payload))
@@ -414,12 +416,11 @@ class ChatPolicy:
     weighting come from :meth:`score_answer` instead.
     """
 
-    def __init__(self, client: HttpChatClient, max_tokens: int = 512):
+    def __init__(self, client: HttpChatClient):
         self.client = client
-        self.max_tokens = max_tokens
 
     def start(self, question: str) -> "ChatEpisode":
-        return ChatEpisode(self.client, self.max_tokens, question)
+        return ChatEpisode(self.client, question)
 
     def score_answer(self, question: str, trajectory: Trajectory, y: str) -> float:
         return self.client.score_answer_logprob(question, trajectory, y)
@@ -430,16 +431,15 @@ class ChatEpisode:
     """One episode's running transcript and the decisions that extend it."""
 
     client: HttpChatClient
-    max_tokens: int
     question: str
     assistant: str = ""
     pending_think: str | None = None
     finalizing: bool = False
     docs_injected: bool = False
 
-    def _generate(self, stop: Sequence[str], max_tokens: int | None = None) -> str:
+    def _generate(self, stop: Sequence[str], max_tokens: int = MAX_TOKENS) -> str:
         return self.client.complete(chat_turns(self.question, self.assistant), stop,
-                                    max_tokens or self.max_tokens)
+                                    max_tokens)
 
     def _append(self, text: str) -> None:
         if self.assistant and not self.assistant.endswith("\n") and text and not text.startswith("\n"):

@@ -138,10 +138,6 @@ class Retriever:
     def resolve(self, hits: Iterable[ScoredPassage]) -> list[Passage]:
         return [self.index.passages[h.passage_ref] for h in hits]
 
-    @property
-    def doc_count(self) -> int:
-        return self.index.doc_count
-
 
 def save_index(index: CorpusIndex, path) -> None:
     """Persist an index: magic header, format-version byte, then the

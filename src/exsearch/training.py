@@ -9,15 +9,15 @@ choices. With exact weighting and the closed-form update, the mean training
 log-likelihood is non-decreasing across iterations (up to the additive
 smoothing, which is kept tiny to avoid zero-probability lock-in).
 
-In exact mode :func:`em_train` runs one forward-backward pass per example
-and parameter set on the policy's (hop, entity) :class:`~.policy.Lattice`:
-the pass gives the expected counts, the ELBO and the log-likelihood, so no
+Both E-steps end in one :class:`~.policy.FactorMass` per example (None
+without signal), and one M-step (:func:`m_step_tabular`) and one ELBO
+(:func:`compute_elbo`) run on it. In exact mode the mass is the posterior of
+a forward-backward pass on the policy's (hop, entity)
+:class:`~.policy.Lattice`, which also gives the log-likelihood, so no
 trajectory is enumerated. In sampled mode :func:`e_step` samples episodes
 and weights them per example with a max-subtracted softmax over the raw
-log-weights; :func:`m_step_tabular` and :func:`compute_elbo` are the M-step
-and the ELBO. They replay each weighted trajectory into its decision
-factors and count and score those with the methods the lattice's posterior
-uses (:class:`~.policy.FactorMass`).
+log-weights, and :func:`factor_masses` replays each weighted trajectory once
+into its decision factors.
 
 Raw weights come in two families: ``posterior-logprob`` uses the policy's
 own log-likelihood of the gold answer given the trajectory, while the
@@ -53,6 +53,8 @@ from .policy import (
 from .retrieval import Retriever
 from .trajectory import (
     Example,
+    ScoredPassage,
+    Step,
     Trajectory,
     WeightedTrajectory,
     render_transcript,
@@ -253,39 +255,26 @@ def _updated_logits(old_row: np.ndarray, counts: np.ndarray, smoothing: float,
     return temperature * np.log(probs)
 
 
-def _factor_mass(policy: TabularPolicy, batch: ExampleBatch,
-                 retriever: Retriever) -> FactorMass | None:
-    """The weighted decision factors of a batch's trajectories, replayed
-    under ``policy``; None for a batch without signal. The answer target is
-    the gold answers under posterior weighting and the sampled answer under
-    reward weighting."""
-    if not _batch_has_signal(batch):
-        return None
-    golds = tuple(dict.fromkeys(batch.example.gold_answers))
-    mass = FactorMass.zeros(policy.params)
-    for wt in batch.items:
-        if wt.weight > 0.0:
-            targets = (wt.answer,) if wt.weight_mode.startswith("reward-") else golds
-            policy.replay(wt.trajectory, retriever, mass, wt.weight, targets)
-    return mass
-
-
-def expected_counts(params: TabularPolicyParams, batches: Sequence[ExampleBatch],
-                    relations: Sequence[str], retriever: Retriever) -> ExpectedCounts:
-    """Weighted counts of the outcomes chosen along each batch's trajectories.
-
-    Batches without signal are skipped. The answer head counts the outcomes
-    that produce the weighting target (see :func:`_factor_mass`). Where
-    several outcomes yield the same text, weight is split in proportion to
-    the probabilities under ``params`` (the within-factor expectation).
-    """
-    policy = TabularPolicy(params, relations)
-    counts = ExpectedCounts.zeros(params)
+def factor_masses(policy: TabularPolicy, batches: Sequence[ExampleBatch],
+                  retriever: Retriever) -> list[FactorMass | None]:
+    """The sampled E-step's posterior: each batch's weighted trajectories
+    replayed once into their decision factors; None for a batch without
+    signal. The answer target is the gold answers under posterior weighting
+    and the sampled answer under reward weighting. A mass depends on the
+    policy's relations and head sizes, never on its parameter values."""
+    masses: list[FactorMass | None] = []
     for batch in batches:
-        mass = _factor_mass(policy, batch, retriever)
-        if mass is not None:
-            counts.add(mass.counts(policy))
-    return counts
+        if not _batch_has_signal(batch):
+            masses.append(None)
+            continue
+        golds = tuple(dict.fromkeys(batch.example.gold_answers))
+        mass = FactorMass.zeros(policy.params)
+        for wt in batch.items:
+            if wt.weight > 0.0:
+                targets = (wt.answer,) if wt.weight_mode.startswith("reward-") else golds
+                policy.replay(wt.trajectory, retriever, mass, wt.weight, targets)
+        masses.append(mass)
+    return masses
 
 
 def update_from_counts(params: TabularPolicyParams, counts: ExpectedCounts,
@@ -307,25 +296,27 @@ def update_from_counts(params: TabularPolicyParams, counts: ExpectedCounts,
                                temperature=params.temperature)
 
 
-def m_step_tabular(params: TabularPolicyParams, batches: Sequence[ExampleBatch],
-                   relations: Sequence[str], retriever: Retriever,
+def m_step_tabular(policy: TabularPolicy, masses: Sequence[FactorMass | None],
                    smoothing: float = 1e-3) -> TabularPolicyParams:
-    """Closed-form categorical update from weighted choices:
-    :func:`update_from_counts` of :func:`expected_counts`."""
-    return update_from_counts(
-        params, expected_counts(params, batches, relations, retriever), smoothing)
+    """The M-step for either E-step: :func:`update_from_counts` of the
+    expected counts of ``masses`` (None entries skipped) under ``policy``.
+    Where several outcomes yield the same text, a factor's mass is split in
+    proportion to their probabilities under ``policy``."""
+    counts = ExpectedCounts.zeros(policy.params)
+    for mass in masses:
+        if mass is not None:
+            counts.add(mass.counts(policy))
+    return update_from_counts(policy.params, counts, smoothing)
 
 
-def compute_elbo(policy: TabularPolicy, batches: Sequence[ExampleBatch],
-                 retriever: Retriever) -> float:
-    """Mean over examples with signal of sum_z w(z) [log p(z|x) + log p(y|x,z)].
+def compute_elbo(policy: TabularPolicy, masses: Sequence[FactorMass | None]) -> float:
+    """Mean over masses that are not None of sum_z w(z) [log p(z|x) + log p(y|x,z)].
 
     The target y is the one the M-step counts: any gold answer under
     posterior weighting, the sampled answer under reward weighting. The
     proposal entropy term is constant within an iteration and omitted; add
     :func:`posterior_entropy` back to compare against the exact marginal.
     """
-    masses = [_factor_mass(policy, batch, retriever) for batch in batches]
     values = [mass.log_prob(policy) for mass in masses if mass is not None]
     return float(np.mean(values)) if values else 0.0
 
@@ -365,20 +356,6 @@ def _validation_score(policy, examples: Sequence[Example], retriever: Retriever,
     return float(np.mean(scores))
 
 
-def _lattice_iteration(policy: TabularPolicy, lattices: Sequence[Lattice],
-                       smoothing: float) -> tuple[TabularPolicy, float]:
-    """The exact E- and M-step from lattices built under ``policy``: the
-    updated policy and the ELBO of the lattices' posteriors under it."""
-    counts = ExpectedCounts.zeros(policy.params)
-    posteriors = [lat.posterior for lat in lattices if lat.has_signal]
-    for mass in posteriors:
-        counts.add(mass.counts(policy))
-    policy = policy.with_params(update_from_counts(policy.params, counts, smoothing))
-    elbo = (float(np.mean([mass.log_prob(policy) for mass in posteriors]))
-            if posteriors else 0.0)
-    return policy, elbo
-
-
 def em_train(examples: Sequence[Example], policy: TabularPolicy,
              retriever: Retriever, config: TrainConfig,
              agent_config: AgentConfig, seed: int = 0,
@@ -386,12 +363,14 @@ def em_train(examples: Sequence[Example], policy: TabularPolicy,
              jobs: int = 1) -> tuple[list[IterationReport], TabularPolicyParams]:
     """Alternate exploration and re-weighted updates for up to N iterations.
 
-    In exact mode each iteration takes the expected counts from every
-    example's lattice under the current parameters, updates the parameters,
-    scores the ELBO of the same posteriors under the new ones, and builds
-    the lattices under the new parameters once: they give ``train_loglik``,
-    the ``loglik`` validation score when validation uses the training set,
-    and the next iteration's E-step.
+    Each iteration's E-step gives one :class:`~.policy.FactorMass` (or None)
+    per example: the lattice's posterior in exact mode, :func:`factor_masses`
+    of the sampled :func:`e_step` otherwise. :func:`m_step_tabular` refits
+    the parameters on those masses and :func:`compute_elbo` scores them under
+    the new parameters. Exact mode then builds the lattices under the new
+    parameters once: they give ``train_loglik``, the ``loglik`` validation
+    score when validation uses the training set, and the next iteration's
+    E-step.
 
     Stops early when the validation metric fails to improve by more than
     ``EARLY_STOP_MIN_DELTA`` for ``early_stop_patience`` consecutive
@@ -410,18 +389,17 @@ def em_train(examples: Sequence[Example], policy: TabularPolicy,
         if exact:
             if lattices is None:
                 lattices = _lattices(policy, examples, retriever, agent_config)
-            policy, elbo = _lattice_iteration(policy, lattices, config.smoothing)
+            masses = [lat.posterior for lat in lattices]
+        else:
+            masses = factor_masses(policy, e_step(
+                examples, policy, retriever, config, agent_config, seed=seed,
+                sample_base=iteration * config.samples_per_example, jobs=jobs),
+                retriever)
+        policy = policy.with_params(m_step_tabular(policy, masses, config.smoothing))
+        elbo = compute_elbo(policy, masses)
+        if exact:
             lattices = _lattices(policy, examples, retriever, agent_config)
             train_loglik = _mean_loglik(lattices)
-        else:
-            batches = e_step(examples, policy, retriever, config, agent_config,
-                             seed=seed,
-                             sample_base=iteration * config.samples_per_example,
-                             jobs=jobs)
-            new_params = m_step_tabular(policy.params, batches, policy.relations,
-                                        retriever, config.smoothing)
-            policy = policy.with_params(new_params)
-            elbo = compute_elbo(policy, batches, retriever)
         if exact and val_examples is None and config.validation_metric == "loglik":
             score = train_loglik
         else:
@@ -497,8 +475,6 @@ def warmup_format(examples: Sequence[Example], retriever: Retriever,
     ``gold_evidences`` when present, falling back to the paired passage
     title. Raises MissingAnnotation without gold sub-queries.
     """
-    from .trajectory import ScoredPassage, Step  # local to avoid wide import surface
-
     records = []
     for ex in examples:
         if not ex.gold_subqueries:

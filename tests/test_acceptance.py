@@ -94,7 +94,8 @@ def test_elbo_tightness_and_jensen():
         policy = uniform_policy(world, budget=2, k=3)
         batches = exact_posterior_batches(questions, policy, retriever, 2, 3)
         for batch in batches:
-            elbo = training.compute_elbo(policy, [batch], retriever)
+            elbo = training.compute_elbo(
+                policy, training.factor_masses(policy, [batch], retriever))
             entropy = training.posterior_entropy([wt.weight for wt in batch.items])
             marginal = policy.exact_marginal_set(batch.example, retriever, 2, 3)
             assert abs(elbo + entropy - marginal) <= 1e-9
@@ -115,7 +116,8 @@ def test_elbo_tightness_and_jensen():
                                     weight_mode="posterior-logprob")
                  for t, w in zip(trajectories, weights)]
         batch = training.ExampleBatch(example=example, items=items)
-        assert training.compute_elbo(policy, [batch], retriever) <= marginal + 1e-9
+        masses = training.factor_masses(policy, [batch], retriever)
+        assert training.compute_elbo(policy, masses) <= marginal + 1e-9
     passed("ELBO tightness (1e-9) and Jensen bound (100 weightings)")
 
 

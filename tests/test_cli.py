@@ -48,6 +48,16 @@ class TestSynthWorldCommand:
         b = (tmp_path / "b" / "corpus.jsonl").read_bytes()
         assert a == b
 
+    def test_aligned_questions_on_default_world_exit_2(self, tmp_path):
+        # density 0.5 and 20 questions: too few matching chains
+        result = run_cli("synth-world", "--align-relations", "--distinct-nodes",
+                         "--out", str(tmp_path / "w"))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("exsearch: error: InfeasibleWorld: ")
+
 
 class TestIngest:
     def test_summary_line(self, world_dir, tmp_path, capsys):

@@ -13,6 +13,7 @@ from conftest import (
     one_hot,
     uniform_policy,
 )
+from exsearch import training
 from exsearch.agent import AgentConfig
 from exsearch.errors import MissingAnnotation, UnrealizableTrajectory
 from exsearch.policy import (
@@ -40,8 +41,8 @@ from exsearch.training import (
     compute_elbo,
     e_step,
     em_train,
-    expected_counts,
     export_weighted_sft,
+    factor_masses,
     m_step_tabular,
     mean_train_loglik,
     normalize_weights,
@@ -206,8 +207,8 @@ class TestMStep:
             items=[make_weighted(result, 1.0, math.log(0.5))])
         alpha = 1e-3
         params = TabularPolicyParams.uniform(2, budget=1, k=1)
-        new = m_step_tabular(params, [batch], world.relations, retriever,
-                             smoothing=alpha)
+        new = m_step_tabular(TabularPolicy(params, world.relations),
+                             factor_masses(policy, [batch], retriever), smoothing=alpha)
         probs = TabularPolicy(new, world.relations).think_probs(1)
         support = 3  # two relations + STOP
         assert probs[0] == pytest.approx((1 + alpha) / (1 + alpha * support), abs=1e-12)
@@ -226,8 +227,8 @@ class TestMStep:
             items=[make_weighted(results[0], 0.9, math.log(0.9)),
                    make_weighted(results[1], 0.1, math.log(0.1))])
         alpha = 1e-3
-        params = TabularPolicyParams.uniform(2, budget=1, k=1)
-        new = m_step_tabular(params, [batch], world.relations, retriever,
+        policy = uniform_policy(world, budget=1, k=1)
+        new = m_step_tabular(policy, factor_masses(policy, [batch], retriever),
                              smoothing=alpha)
         probs = TabularPolicy(new, world.relations).think_probs(1)
         assert probs[0] == pytest.approx((0.9 + alpha) / (1 + alpha * 3), abs=1e-12)
@@ -238,7 +239,7 @@ class TestMStep:
         params = TabularPolicyParams(
             think_logits=np.array([[0.3, -0.2, 0.1], [0.0, 0.5, -0.5]]),
             record_logits=np.array([0.2]), answer_logits=np.array([0.7, -0.7]))
-        new = m_step_tabular(params, [], world.relations, retriever)
+        new = m_step_tabular(TabularPolicy(params, world.relations), [])
         assert new.allclose(params)
 
     def test_no_signal_batch_is_skipped(self):
@@ -250,8 +251,10 @@ class TestMStep:
         batch = ExampleBatch(
             example=Example(id="e", question="A r1", gold_answers=("B",)),
             items=[make_weighted(result, 1.0, LOG_FLOOR)])
+        masses = factor_masses(policy, [batch], retriever)
+        assert masses == [None]
         params = TabularPolicyParams.uniform(2, budget=1, k=1)
-        new = m_step_tabular(params, [batch], world.relations, retriever)
+        new = m_step_tabular(TabularPolicy(params, world.relations), masses)
         assert new.allclose(params)
 
     def test_stop_choice_counted_for_early_termination(self):
@@ -264,7 +267,8 @@ class TestMStep:
             example=Example(id="e", question="A r1", gold_answers=("",)),
             items=[make_weighted(result, 1.0, math.log(0.5))])
         params = TabularPolicyParams.uniform(2, budget=2, k=1)
-        new = m_step_tabular(params, [batch], world.relations, retriever)
+        new = m_step_tabular(TabularPolicy(params, world.relations),
+                             factor_masses(policy, [batch], retriever))
         probs = TabularPolicy(new, world.relations).think_probs(1)
         assert probs[2] == pytest.approx((1 + 1e-3) / (1 + 1e-3 * 3), abs=1e-12)
 
@@ -280,9 +284,7 @@ class TestMStep:
             items=[make_weighted_t(trajectory, "C", 1.0)])
         policy = uniform_policy(world, budget=1, k=1)
         with pytest.raises(UnrealizableTrajectory):
-            m_step_tabular(policy.params, [batch], world.relations, retriever)
-        with pytest.raises(UnrealizableTrajectory):
-            compute_elbo(policy, [batch], retriever)
+            factor_masses(policy, [batch], retriever)
 
 
 def make_weighted(result, weight, log_weight, mode="posterior-logprob"):
@@ -343,6 +345,24 @@ class TestEmTrain:
         after = expected_em(TabularPolicy(params, world.relations))
         assert after > before + 0.5
 
+    @pytest.mark.parametrize("mode", ["exact-enumeration", "sampled"])
+    def test_one_m_step_and_one_elbo_per_iteration(self, monkeypatch, mode):
+        calls = []
+        for name in ("m_step_tabular", "compute_elbo"):
+            original = getattr(training, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(training, name, spy)
+        world, questions, retriever = chain_world(seed=1, n_questions=3)
+        config = TrainConfig(iterations=3, e_step_mode=mode, early_stop_patience=0)
+        reports, _ = em_train(questions, uniform_policy(world, budget=2, k=3),
+                              retriever, config, AgentConfig(budget=2, k=3), seed=0)
+        assert len(reports) == 3
+        assert calls == ["m_step_tabular", "compute_elbo"] * 3
+
     def test_history_csv_layout(self, tmp_path):
         world, questions, retriever = chain_world(seed=1, n_questions=3)
         policy = uniform_policy(world, budget=2, k=3)
@@ -368,7 +388,8 @@ class TestElbo:
         batch = ExampleBatch(
             example=Example(id="e", question="A r1", gold_answers=("B",)),
             items=[make_weighted(result, 1.0, 0.0)])
-        assert compute_elbo(policy, [batch], retriever) == pytest.approx(0.0, abs=1e-9)
+        assert compute_elbo(policy, factor_masses(policy, [batch], retriever)) == (
+            pytest.approx(0.0, abs=1e-9))
 
     def two_branch_rig(self):
         world = tiny_world([("A", "r1", "B"), ("A", "r2", "C"),
@@ -384,7 +405,7 @@ class TestElbo:
         world, retriever, policy = self.two_branch_rig()
         example = Example(id="e", question="A r1", gold_answers=("B",))
         (batch,) = exact_posterior_batches([example], policy, retriever, 1, 1)
-        elbo = compute_elbo(policy, [batch], retriever)
+        elbo = compute_elbo(policy, factor_masses(policy, [batch], retriever))
         entropy = posterior_entropy([wt.weight for wt in batch.items])
         marginal = policy.exact_marginal("A r1", retriever, "B", 1, 1)
         assert elbo + entropy == pytest.approx(marginal, abs=1e-9)
@@ -403,7 +424,7 @@ class TestElbo:
             batch = ExampleBatch(example=example, items=[
                 make_weighted_t(t, "B", float(w)) for t, w in zip(trajectories, weights)
                 if w > 0.0])
-            elbo = compute_elbo(policy, [batch], retriever)
+            elbo = compute_elbo(policy, factor_masses(policy, [batch], retriever))
             assert elbo <= marginal + 1e-9
 
     def test_reward_mode_elbo_scores_the_sampled_answer(self):
@@ -423,8 +444,8 @@ class TestElbo:
         expected = sum(wt.weight * policy.trajectory_log_prob(wt.trajectory, retriever,
                                                               answer=wt.answer)
                        for wt in batch.items)
-        assert compute_elbo(policy, [batch], retriever) == pytest.approx(
-            expected, rel=0, abs=1e-12)
+        assert compute_elbo(policy, factor_masses(policy, [batch], retriever)) == (
+            pytest.approx(expected, rel=0, abs=1e-12))
 
     def test_sampled_reward_f1_elbo_stays_finite(self):
         world, questions, retriever = chain_world(seed=2, n_entities=60,
@@ -690,11 +711,11 @@ def lattice_rigs(draw):
     return TabularPolicy(params, relations), examples, retriever, budget, k
 
 
-def lattice_counts(lattices, params):
-    counts = ExpectedCounts.zeros(params)
-    for lat in lattices:
-        if lat.has_signal:
-            counts.add(lat.posterior.counts(lat.policy))
+def summed_counts(policy, masses):
+    counts = ExpectedCounts.zeros(policy.params)
+    for mass in masses:
+        if mass is not None:
+            counts.add(mass.counts(policy))
     return counts
 
 
@@ -707,12 +728,10 @@ def reference_em(examples, policy, retriever, config, acfg):
     """em_train's exact mode as enumeration, replay and exact marginals."""
     reports = []
     for iteration in range(config.iterations):
-        batches = exact_posterior_batches(examples, policy, retriever,
-                                          acfg.budget, acfg.k)
-        policy = policy.with_params(m_step_tabular(policy.params, batches,
-                                                   policy.relations, retriever,
-                                                   config.smoothing))
-        elbo = compute_elbo(policy, batches, retriever)
+        masses = factor_masses(policy, exact_posterior_batches(
+            examples, policy, retriever, acfg.budget, acfg.k), retriever)
+        policy = policy.with_params(m_step_tabular(policy, masses, config.smoothing))
+        elbo = compute_elbo(policy, masses)
         loglik = float(np.mean([policy.exact_marginal_set(ex, retriever, acfg.budget,
                                                           acfg.k)
                                 for ex in examples]))
@@ -747,14 +766,15 @@ class TestLatticeOracle:
                 assert policy.trajectory_log_prob(t, retriever, a) == pytest.approx(
                     logp, rel=0, abs=1e-9)
 
-        batches = exact_posterior_batches(examples, policy, retriever, budget, k)
-        enumerated = expected_counts(policy.params, batches, policy.relations, retriever)
-        counts = lattice_counts(lattices, policy.params)
+        masses = factor_masses(policy, exact_posterior_batches(
+            examples, policy, retriever, budget, k), retriever)
+        enumerated = summed_counts(policy, masses)
+        counts = summed_counts(policy, [lat.posterior for lat in lattices])
         for head in ("think", "record", "answer"):
             np.testing.assert_allclose(getattr(counts, head), getattr(enumerated, head),
                                        rtol=0, atol=1e-9)
 
-        updated = m_step_tabular(policy.params, batches, policy.relations, retriever)
+        updated = m_step_tabular(policy, masses)
         assert_params_close(update_from_counts(policy.params, counts), updated)
 
         # The reversed heads put probability 0 on some posterior-supported
@@ -768,7 +788,7 @@ class TestLatticeOracle:
                             (policy.with_params(reversed_heads), 1e-12)):
             elbo = (float(np.mean([lat.posterior.log_prob(scorer) for lat in signal]))
                     if signal else 0.0)
-            assert elbo == pytest.approx(compute_elbo(scorer, batches, retriever),
+            assert elbo == pytest.approx(compute_elbo(scorer, masses),
                                          rel=rel, abs=1e-9)
 
     @settings(max_examples=30, deadline=None,
