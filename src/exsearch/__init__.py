@@ -19,7 +19,7 @@ The package splits into:
 
 from .agent import AgentConfig, EpisodeResult, episode_rng, rank_documents, run_episode
 from .metrics import MetricsReport, accuracy, evaluate_run, exact_match, normalize_answer, token_f1
-from .policy import PolicyDecision, PolicyState, TabularPolicy, TabularPolicyParams
+from .policy import PolicyDecision, TabularPolicy, TabularPolicyParams
 from .retrieval import CorpusIndex, Retriever, build_index, load_index, save_index, search, tokenize
 from .synth import SyntheticWorld, generate_world, make_questions, render_corpus
 from .training import (

@@ -16,7 +16,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .policy import PolicyDecision, PolicyState
+from .policy import PolicyDecision
 from .retrieval import Retriever
 from .trajectory import Passage, Step, Trajectory
 
@@ -26,18 +26,17 @@ _RANK_POSITION_RE = re.compile(r"\[(\d+)\]")
 class Episode(Protocol):
     """One episode's decision-maker, owning whatever state the episode needs.
 
-    It may also offer ``rank_directive`` for the document-selection action.
+    It may also offer ``rank_directive(sub_query, documents)`` for the
+    document-selection action.
     """
 
-    def propose_subquery(self, state: PolicyState,
+    def propose_subquery(self, history: Trajectory,
                          rng: np.random.Generator) -> PolicyDecision: ...
 
-    def extract_evidence(self, state: PolicyState, sub_query: str,
-                         documents: Sequence[Passage],
+    def extract_evidence(self, documents: Sequence[Passage],
                          rng: np.random.Generator) -> PolicyDecision: ...
 
-    def answer(self, question: str, trajectory: Trajectory,
-               rng: np.random.Generator) -> PolicyDecision: ...
+    def answer(self, trajectory: Trajectory, rng: np.random.Generator) -> PolicyDecision: ...
 
 
 class Policy(Protocol):
@@ -127,7 +126,7 @@ def rank_documents(episode, sub_query: str, documents: Sequence[Passage],
     ids = [doc.id for doc in documents]
     directive = ""
     if hasattr(episode, "rank_directive"):
-        directive = episode.rank_directive(sub_query, documents, m)
+        directive = episode.rank_directive(sub_query, documents)
     return parse_rank_directive(directive, ids, m)
 
 
@@ -139,12 +138,9 @@ def run_episode(question: str, policy: Policy, retriever: Retriever,
     seen_subqueries: set[str] = set()
     log_prob = 0.0
     for hop in range(1, config.budget + 1):
-        state = PolicyState(
-            question=question,
-            history=Trajectory(question=question, steps=tuple(steps),
-                               terminated=False, budget=config.budget),
-            hop=hop)
-        decision = episode.propose_subquery(state, rng)
+        history = Trajectory(question=question, steps=tuple(steps),
+                             terminated=False, budget=config.budget)
+        decision = episode.propose_subquery(history, rng)
         log_prob += decision.log_prob
         if decision.choice is None:
             break
@@ -164,7 +160,7 @@ def run_episode(question: str, policy: Policy, retriever: Retriever,
         if not hits:
             evidence = ""
         else:
-            extraction = episode.extract_evidence(state, sub_query, documents, rng)
+            extraction = episode.extract_evidence(documents, rng)
             log_prob += extraction.log_prob
             evidence = extraction.choice or ""
         steps.append(Step(sub_query=sub_query, retrieved=tuple(hits),
@@ -172,7 +168,7 @@ def run_episode(question: str, policy: Policy, retriever: Retriever,
 
     trajectory = Trajectory(question=question, steps=tuple(steps),
                             terminated=True, budget=config.budget)
-    final = episode.answer(question, trajectory, rng)
+    final = episode.answer(trajectory, rng)
     log_prob += final.log_prob
     return EpisodeResult(trajectory=trajectory, answer=final.choice or "",
                          log_prob=log_prob)

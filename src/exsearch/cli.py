@@ -452,8 +452,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("weigh", help="attach importance weights to trajectories")
     p.add_argument("--trajectories", required=True)
     p.add_argument("--examples", required=True)
-    p.add_argument("--mode", choices=["posterior-logprob", "reward-em", "reward-acc",
-                                      "reward-f1"], default="reward-em")
+    p.add_argument("--mode", choices=trajectory.WEIGHT_MODES, default="reward-em")
     p.add_argument("--out", required=True)
     _add_policy_flags(p)
     _add_agent_flags(p)
@@ -466,12 +465,12 @@ def build_parser() -> _Parser:
     p.add_argument("--val")
     p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     p.add_argument("--weight-mode", dest="weight_mode", default=None,
-                   choices=["posterior-logprob", "reward-em", "reward-acc", "reward-f1"])
+                   choices=trajectory.WEIGHT_MODES)
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--patience", type=int, default=None)
     p.add_argument("--val-metric", dest="val_metric", default=None,
-                   choices=["loglik", "em", "acc"])
+                   choices=training.VALIDATION_METRICS)
     p.add_argument("--params-in", dest="params_in")
     p.add_argument("--params-out", dest="params_out", required=True)
     p.add_argument("--history", required=True)

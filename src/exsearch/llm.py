@@ -52,7 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AuthError, EndpointError, LogprobsUnsupported, NoDocuments, Timeout
-from .policy import PolicyDecision, PolicyState
+from .policy import PolicyDecision
 from .trajectory import (FINAL_VARIANTS, RANK, RECORD, SEARCH, THINK, Passage, Trajectory,
                          render_transcript)
 
@@ -446,7 +446,7 @@ class ChatEpisode:
             self.assistant += "\n"
         self.assistant += text
 
-    def propose_subquery(self, state: PolicyState,
+    def propose_subquery(self, history: Trajectory,
                          rng: np.random.Generator) -> PolicyDecision:
         if self.finalizing:
             return PolicyDecision(choice=None, log_prob=0.0)
@@ -470,8 +470,7 @@ class ChatEpisode:
             for i, doc in enumerate(documents, 1))
         return f"{SEARCH} {rendered}\n"
 
-    def rank_directive(self, sub_query: str, documents: Sequence[Passage],
-                       keep: int) -> str:
+    def rank_directive(self, sub_query: str, documents: Sequence[Passage]) -> str:
         self._append(self._docs_line(documents))
         self.docs_injected = True
         self._append(RANK)
@@ -479,8 +478,7 @@ class ChatEpisode:
         self._append(f" {text.strip()}\n")
         return text.strip()
 
-    def extract_evidence(self, state: PolicyState, sub_query: str,
-                         documents: Sequence[Passage],
+    def extract_evidence(self, documents: Sequence[Passage],
                          rng: np.random.Generator) -> PolicyDecision:
         if not documents:
             raise NoDocuments("cannot extract evidence from an empty document list")
@@ -498,8 +496,7 @@ class ChatEpisode:
             self.finalizing = True
         return PolicyDecision(choice=evidence, log_prob=0.0)
 
-    def answer(self, question: str, trajectory: Trajectory,
-               rng: np.random.Generator) -> PolicyDecision:
+    def answer(self, trajectory: Trajectory, rng: np.random.Generator) -> PolicyDecision:
         self.assistant = _answer_prefix(trajectory)
         text = self._generate(["\n"], max_tokens=64)
         self._append(text)

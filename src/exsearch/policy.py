@@ -52,10 +52,10 @@ ABSTAIN = "ABSTAIN"
 PARAMS_VERSION = 1
 
 
-def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax; shift-invariant by construction."""
-    scaled = np.asarray(logits, dtype=float) / temperature
-    shifted = scaled - scaled.max()
+    logits = np.asarray(logits, dtype=float)
+    shifted = logits - logits.max()
     exps = np.exp(shifted)
     return exps / exps.sum()
 
@@ -80,19 +80,6 @@ class PolicyDecision:
     log_prob: float
 
 
-@dataclass(frozen=True)
-class PolicyState:
-    """Conditioning context for the next decision: question plus history."""
-
-    question: str
-    history: Trajectory
-    hop: int
-
-    def __post_init__(self):
-        if self.hop != len(self.history.steps) + 1:
-            raise ValueError("hop must equal len(history.steps) + 1")
-
-
 @dataclass(eq=False)
 class TabularPolicyParams:
     """Categorical logits for the think/record/answer heads.
@@ -107,14 +94,11 @@ class TabularPolicyParams:
     think_logits: np.ndarray
     record_logits: np.ndarray
     answer_logits: np.ndarray
-    temperature: float = 1.0
 
     def __post_init__(self):
         self.think_logits = np.asarray(self.think_logits, dtype=float)
         self.record_logits = np.asarray(self.record_logits, dtype=float)
         self.answer_logits = np.asarray(self.answer_logits, dtype=float)
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
         for name, arr in (("think_logits", self.think_logits),
                           ("record_logits", self.record_logits),
                           ("answer_logits", self.answer_logits)):
@@ -126,13 +110,11 @@ class TabularPolicyParams:
             raise ValueError("answer_logits must have exactly two entries")
 
     @classmethod
-    def uniform(cls, n_relations: int, budget: int, k: int,
-                temperature: float = 1.0) -> "TabularPolicyParams":
+    def uniform(cls, n_relations: int, budget: int, k: int) -> "TabularPolicyParams":
         return cls(
             think_logits=np.zeros((budget + 1, n_relations + 1)),
             record_logits=np.zeros(k),
             answer_logits=np.zeros(2),
-            temperature=temperature,
         )
 
     def allclose(self, other: "TabularPolicyParams", atol: float = 1e-12) -> bool:
@@ -142,15 +124,16 @@ class TabularPolicyParams:
             and np.allclose(self.think_logits, other.think_logits, atol=atol)
             and np.allclose(self.record_logits, other.record_logits, atol=atol)
             and np.allclose(self.answer_logits, other.answer_logits, atol=atol)
-            and abs(self.temperature - other.temperature) <= atol
         )
 
     def to_json_dict(self) -> dict:
+        """The params file's fields. ``temperature`` is always 1.0: earlier
+        builds read it, and :meth:`from_json_dict` rejects any other value."""
         return {
             "think_logits": self.think_logits.tolist(),
             "record_logits": self.record_logits.tolist(),
             "answer_logits": self.answer_logits.tolist(),
-            "temperature": self.temperature,
+            "temperature": 1.0,
             "version": PARAMS_VERSION,
         }
 
@@ -159,11 +142,13 @@ class TabularPolicyParams:
         if d.get("version") != PARAMS_VERSION:
             raise ValueError(f"unsupported params version {d.get('version')!r} "
                              f"(this build reads version {PARAMS_VERSION})")
+        if d.get("temperature", 1.0) != 1.0:
+            raise ValueError(f"temperature {d['temperature']!r} is not supported "
+                             "(this build reads temperature 1.0 only)")
         return cls(
             think_logits=np.asarray(d["think_logits"], dtype=float),
             record_logits=np.asarray(d["record_logits"], dtype=float),
             answer_logits=np.asarray(d["answer_logits"], dtype=float),
-            temperature=float(d.get("temperature", 1.0)),
         )
 
     def save(self, path) -> None:
@@ -208,7 +193,7 @@ class TabularPolicy:
     def think_probs(self, hop: int) -> np.ndarray:
         rows = self.params.think_logits.shape[0]
         row = self.params.think_logits[min(hop, rows) - 1]
-        return softmax(row, self.params.temperature)
+        return softmax(row)
 
     def record_probs(self, n_docs: int) -> np.ndarray:
         logits = self.params.record_logits[:n_docs]
@@ -216,18 +201,17 @@ class TabularPolicy:
             raise UnrealizableTrajectory(
                 f"{n_docs} retrieved documents exceed the record head size "
                 f"{len(self.params.record_logits)}")
-        return softmax(logits, self.params.temperature)
+        return softmax(logits)
 
     def answer_probs(self) -> np.ndarray:
-        return softmax(self.params.answer_logits, self.params.temperature)
+        return softmax(self.params.answer_logits)
 
-    def _current_entity(self, state: PolicyState) -> str:
-        if state.history.steps:
-            return state.history.steps[-1].evidence
-        return question_start_entity(state.question)
-
-    def _answer_texts(self, last_evidence: str) -> tuple[str, str]:
-        return last_evidence, ABSTAIN
+    def answer_positions(self, last_evidence: str,
+                         targets: Sequence[str]) -> tuple[int, ...]:
+        """The answer-head outcomes after ``last_evidence`` whose text is in
+        ``targets``."""
+        return tuple(j for j, text in enumerate((last_evidence, ABSTAIN))
+                     if text in targets)
 
     # -- decision sampling -----------------------------------------------------
 
@@ -235,17 +219,18 @@ class TabularPolicy:
         """The tabular policy keeps no per-episode state: it is its own episode."""
         return self
 
-    def propose_subquery(self, state: PolicyState, rng: np.random.Generator) -> PolicyDecision:
-        probs = self.think_probs(state.hop)
+    def propose_subquery(self, history: Trajectory,
+                         rng: np.random.Generator) -> PolicyDecision:
+        probs = self.think_probs(len(history.steps) + 1)
         idx = int(rng.choice(len(probs), p=probs))
         if idx == len(self.relations):
             return PolicyDecision(choice=None, log_prob=math.log(probs[idx]))
-        entity = self._current_entity(state)
+        entity = (history.last_evidence if history.steps
+                  else question_start_entity(history.question))
         sub_query = f"{entity} {self.relations[idx]}"
         return PolicyDecision(choice=sub_query, log_prob=math.log(probs[idx]))
 
-    def extract_evidence(self, state: PolicyState, sub_query: str,
-                         documents: Sequence[Passage],
+    def extract_evidence(self, documents: Sequence[Passage],
                          rng: np.random.Generator) -> PolicyDecision:
         if not documents:
             raise NoDocuments("cannot extract evidence from an empty document list")
@@ -256,13 +241,12 @@ class TabularPolicy:
                    if passage_object(doc) == evidence)
         return PolicyDecision(choice=evidence, log_prob=math.log(mass))
 
-    def answer(self, question: str, trajectory: Trajectory,
-               rng: np.random.Generator) -> PolicyDecision:
+    def answer(self, trajectory: Trajectory, rng: np.random.Generator) -> PolicyDecision:
         probs = self.answer_probs()
-        texts = self._answer_texts(trajectory.last_evidence)
         idx = int(rng.choice(len(probs), p=probs))
-        mass = sum(p for p, text in zip(probs, texts) if text == texts[idx])
-        return PolicyDecision(choice=texts[idx], log_prob=math.log(mass))
+        text = (trajectory.last_evidence, ABSTAIN)[idx]
+        return PolicyDecision(choice=text, log_prob=self.score_answer(
+            trajectory.question, trajectory, text))
 
     def score_answer(self, question: str, trajectory: Trajectory, y: str) -> float:
         """log of the probability mass the answer head assigns to exactly y.
@@ -270,19 +254,14 @@ class TabularPolicy:
         Returns the representable floor (-1e9) when y is outside the support,
         meaning this trajectory cannot produce y.
         """
-        return self.answer_log_mass(trajectory.last_evidence, y)
-
-    def answer_log_mass(self, last_evidence: str, y: str) -> float:
-        """:meth:`score_answer` for any trajectory ending on ``last_evidence``."""
         probs = self.answer_probs()
-        texts = self._answer_texts(last_evidence)
-        mass = sum(p for p, text in zip(probs, texts) if text == y)
+        positions = self.answer_positions(trajectory.last_evidence, (y,))
+        mass = sum(probs[j] for j in positions)
         return math.log(mass) if mass > 0.0 else LOG_FLOOR
 
     # -- document selection (extension action) ---------------------------------
 
-    def rank_directive(self, sub_query: str, documents: Sequence[Passage],
-                       keep: int) -> str:
+    def rank_directive(self, sub_query: str, documents: Sequence[Passage]) -> str:
         """Emit a "[i] > [j] > ..." ordering preferring exact fact matches.
 
         Documents whose text starts with "<entity> <relation>" from the
@@ -321,7 +300,7 @@ class TabularPolicy:
                mass: FactorMass, weight: float, targets: Sequence[str]) -> None:
         """Add ``weight`` to every decision factor of ``trajectory`` in ``mass``:
         each think cell, each record factor and, when ``targets`` is not
-        empty, the answer end that produces one of ``targets``.
+        empty, the answer factor: the outcomes that produce one of ``targets``.
 
         Raises UnrealizableTrajectory when the structure cannot arise under
         this policy and retriever (wrong sub-query shape, mismatched
@@ -363,8 +342,8 @@ class TabularPolicy:
             mass.think[min(len(trajectory.steps) + 1, rows) - 1,
                        len(self.relations)] += weight
         if targets:
-            key = (trajectory.last_evidence, tuple(targets))
-            mass.ends[key] = mass.ends.get(key, 0.0) + weight
+            positions = self.answer_positions(trajectory.last_evidence, targets)
+            mass.answer[positions] = mass.answer.get(positions, 0.0) + weight
 
     def trajectory_log_prob(self, trajectory: Trajectory, retriever: Retriever,
                             answer: str | None = None) -> float:
@@ -407,8 +386,7 @@ class TabularPolicy:
             trajectory = Trajectory(question=question, steps=steps,
                                     terminated=True, budget=budget)
             masses: dict[str, float] = {}
-            texts = self._answer_texts(trajectory.last_evidence)
-            for p, text in zip(answer_probs, texts):
+            for p, text in zip(answer_probs, (trajectory.last_evidence, ABSTAIN)):
                 masses[text] = masses.get(text, 0.0) + float(p)
             for text, mass in masses.items():
                 if mass > 0.0:
@@ -502,13 +480,14 @@ def add_split(counts: np.ndarray, probs, matched: Sequence[int], weight: float) 
 class FactorMass:
     """Mass on each decision factor of one or more trajectories: think
     cells by (row, outcome), shaped like the think logits; record factors
-    by (number of documents, positions that yield the evidence); answer ends
-    by (last evidence, target texts). :meth:`TabularPolicy.replay` fills it
-    from trajectories and :attr:`Lattice.posterior` from a posterior."""
+    by (number of documents, positions that yield the evidence); answer
+    factors by the positions that yield a target answer.
+    :meth:`TabularPolicy.replay` fills it from trajectories and
+    :attr:`Lattice.posterior` from a posterior."""
 
     think: np.ndarray
     record: dict[tuple[int, tuple[int, ...]], float] = field(default_factory=dict)
-    ends: dict[tuple[str, tuple[str, ...]], float] = field(default_factory=dict)
+    answer: dict[tuple[int, ...], float] = field(default_factory=dict)
 
     @classmethod
     def zeros(cls, params: TabularPolicyParams) -> "FactorMass":
@@ -522,10 +501,8 @@ class FactorMass:
         for (n_docs, positions), q in self.record.items():
             add_split(counts.record, policy.record_probs(n_docs), positions, q)
         answer = policy.answer_probs()
-        for (last, targets), q in self.ends.items():
-            matched = [i for i, text in enumerate(policy._answer_texts(last))
-                       if text in targets]
-            add_split(counts.answer, answer, matched, q)
+        for positions, q in self.answer.items():
+            add_split(counts.answer, answer, positions, q)
         return counts
 
     def log_prob(self, policy: TabularPolicy) -> float:
@@ -541,8 +518,10 @@ class FactorMass:
             rec = policy.record_probs(n_docs)
             mass = sum(rec[j] for j in positions)
             total += q * (math.log(mass) if mass > 0.0 else LOG_FLOOR)
-        for (last, targets), q in self.ends.items():
-            total += q * logsumexp(policy.answer_log_mass(last, t) for t in targets)
+        answer = policy.answer_probs()
+        for positions, q in self.answer.items():
+            mass = sum(answer[j] for j in positions)
+            total += q * (math.log(mass) if mass > 0.0 else LOG_FLOOR)
         return float(total)
 
 
@@ -572,19 +551,21 @@ class Lattice:
     def __init__(self, policy: TabularPolicy, example: Example,
                  retriever: Retriever, budget: int, k: int):
         self.policy = policy
-        self.golds = tuple(dict.fromkeys(example.gold_answers))
-        self._answer = policy.answer_probs().tolist()
-        self._end_logp: dict[str, float | None] = {}
+        golds = tuple(dict.fromkeys(example.gold_answers))
+        answer = policy.answer_probs().tolist()
+        # The answer positions yielding a gold answer after each last
+        # evidence, and the log of their mass (None when it is 0).
+        answers: dict[str, tuple[tuple[int, ...], float | None]] = {}
         stop = len(policy.relations)
         records: dict[int, list[float]] = {}
         # layers[h - 1] holds (entity, log alpha, log-prob of its gold end or
-        # None, moves) for every state before hop h, h = 1..budget + 1. The
-        # end is STOP then the answer up to the budget, the answer alone
-        # after it. A move is (relation index, record key, next entity,
-        # log-prob); the record key (number of documents, positions yielding
-        # the evidence) is None after an empty retrieval, which has no record
-        # decision.
-        self.layers: list[list[tuple[str, float, float | None, list]]] = []
+        # None, answer positions of the end, moves) for every state before
+        # hop h, h = 1..budget + 1. The end is STOP then the answer up to the
+        # budget, the answer alone after it. A move is (relation index,
+        # record key, next entity, log-prob); the record key (number of
+        # documents, positions yielding the evidence) is None after an empty
+        # retrieval, which has no record decision.
+        self.layers: list[list[tuple]] = []
         frontier = {question_start_entity(example.question): 0.0}
         ends: list[float] = []
         for hop in range(1, budget + 2):
@@ -592,7 +573,13 @@ class Lattice:
             incoming: dict[str, list[float]] = {}
             layer = []
             for entity, log_alpha in frontier.items():
-                end = self.end_logp("" if hop == 1 else entity)
+                last = "" if hop == 1 else entity
+                if last not in answers:
+                    gold_positions = policy.answer_positions(last, golds)
+                    mass = sum(answer[j] for j in gold_positions)
+                    answers[last] = (gold_positions,
+                                     math.log(mass) if mass > 0.0 else None)
+                gold_positions, end = answers[last]
                 if hop <= budget and end is not None:
                     end = math.log(probs[stop]) + end if probs[stop] > 0.0 else None
                 if end is not None:
@@ -621,20 +608,11 @@ class Lattice:
                                       math.log(p_rel) + math.log(mass)))
                 for _idx, _key, nxt, logp in moves:
                     incoming.setdefault(nxt, []).append(log_alpha + logp)
-                layer.append((entity, log_alpha, end, moves))
+                layer.append((entity, log_alpha, end, gold_positions, moves))
             self.layers.append(layer)
             frontier = {e: logsumexp(terms) for e, terms in incoming.items()}
         self.log_marginal = logsumexp(ends)
         self.has_signal = bool(ends)
-
-    def end_logp(self, last_evidence: str) -> float | None:
-        """log of the answer head's mass on the gold texts after
-        ``last_evidence``; None when that mass is 0."""
-        if last_evidence not in self._end_logp:
-            texts = self.policy._answer_texts(last_evidence)
-            mass = sum(p for p, text in zip(self._answer, texts) if text in self.golds)
-            self._end_logp[last_evidence] = math.log(mass) if mass > 0.0 else None
-        return self._end_logp[last_evidence]
 
     @functools.cached_property
     def posterior(self) -> FactorMass | None:
@@ -646,20 +624,19 @@ class Lattice:
         stop = len(self.policy.relations)
         budget = len(self.layers) - 1
         posterior = FactorMass.zeros(self.policy.params)
-        think, record, ends = posterior.think, posterior.record, posterior.ends
+        think, record, answer = posterior.think, posterior.record, posterior.answer
         after: dict[str, float] = {}  # log beta of the states after this hop
         for hop in range(budget + 1, 0, -1):
             row = min(hop, rows) - 1
             before = {}
-            for entity, log_alpha, end, moves in self.layers[hop - 1]:
+            for entity, log_alpha, end, positions, moves in self.layers[hop - 1]:
                 terms = []
                 if end is not None:
                     terms.append(end)
                     q = math.exp(log_alpha + end - self.log_marginal)
                     if hop <= budget:
                         think[row, stop] += q
-                    end_key = ("" if hop == 1 else entity, self.golds)
-                    ends[end_key] = ends.get(end_key, 0.0) + q
+                    answer[positions] = answer.get(positions, 0.0) + q
                 for idx, key, nxt, logp in moves:
                     if nxt not in after:
                         continue

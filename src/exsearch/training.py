@@ -52,6 +52,7 @@ from .policy import (
 )
 from .retrieval import Retriever
 from .trajectory import (
+    WEIGHT_MODES,
     Example,
     ScoredPassage,
     Step,
@@ -85,14 +86,13 @@ class TrainConfig:
     e_step_mode: str = "sampled"
     early_stop_patience: int = 1  # 0 disables early stopping
     validation_metric: str = "loglik"
-    smoothing: float = 1e-3
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.samples_per_example < 1:
             raise ValueError("samples_per_example must be >= 1")
-        if self.weight_mode not in ("posterior-logprob", *REWARD_FNS):
+        if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"unknown weight mode {self.weight_mode!r}")
         if self.e_step_mode not in E_STEP_MODES:
             raise ValueError(f"unknown e-step mode {self.e_step_mode!r}")
@@ -174,12 +174,16 @@ def weigh(example: Example, samples: Sequence[tuple[Trajectory, str]],
     The raw log-weight is the policy's log-probability of any gold answer
     (``posterior-logprob``, which needs ``policy``) or the reward of the
     sampled answer; raw weights are then softmax-normalized per example.
+    Golds the trajectory cannot produce (scored at LOG_FLOOR) add nothing, so
+    a trajectory that produces none of them stays at LOG_FLOOR.
     """
     golds = list(example.gold_answers)
     if weight_mode == "posterior-logprob":
-        entries = [(t, a, logsumexp(policy.score_answer(example.question, t, g)
-                                    for g in dict.fromkeys(golds)))
-                   for t, a in samples]
+        def log_weight(t: Trajectory) -> float:
+            scores = (policy.score_answer(example.question, t, g)
+                      for g in dict.fromkeys(golds))
+            return logsumexp(s for s in scores if s > LOG_FLOOR)
+        entries = [(t, a, log_weight(t)) for t, a in samples]
     else:
         reward = REWARD_FNS[weight_mode]
         entries = [(t, a, float(reward(a, golds))) for t, a in samples]
@@ -246,13 +250,13 @@ def _batch_has_signal(batch: ExampleBatch) -> bool:
     return False
 
 
-def _updated_logits(old_row: np.ndarray, counts: np.ndarray, smoothing: float,
-                    temperature: float) -> np.ndarray:
+def _updated_logits(old_row: np.ndarray, counts: np.ndarray,
+                    smoothing: float) -> np.ndarray:
     total = counts.sum()
     if total == 0.0:
         return old_row.copy()
     probs = (counts + smoothing) / (total + smoothing * len(counts))
-    return temperature * np.log(probs)
+    return np.log(probs)
 
 
 def factor_masses(policy: TabularPolicy, batches: Sequence[ExampleBatch],
@@ -284,16 +288,12 @@ def update_from_counts(params: TabularPolicyParams, counts: ExpectedCounts,
     no counts keep their prior logits."""
     rows = params.think_logits.shape[0]
     new_think = np.vstack([
-        _updated_logits(params.think_logits[r], counts.think[r], smoothing,
-                        params.temperature)
+        _updated_logits(params.think_logits[r], counts.think[r], smoothing)
         for r in range(rows)])
-    new_record = _updated_logits(params.record_logits, counts.record, smoothing,
-                                 params.temperature)
-    new_answer = _updated_logits(params.answer_logits, counts.answer, smoothing,
-                                 params.temperature)
+    new_record = _updated_logits(params.record_logits, counts.record, smoothing)
+    new_answer = _updated_logits(params.answer_logits, counts.answer, smoothing)
     return TabularPolicyParams(think_logits=new_think, record_logits=new_record,
-                               answer_logits=new_answer,
-                               temperature=params.temperature)
+                               answer_logits=new_answer)
 
 
 def m_step_tabular(policy: TabularPolicy, masses: Sequence[FactorMass | None],
@@ -395,7 +395,7 @@ def em_train(examples: Sequence[Example], policy: TabularPolicy,
                 examples, policy, retriever, config, agent_config, seed=seed,
                 sample_base=iteration * config.samples_per_example, jobs=jobs),
                 retriever)
-        policy = policy.with_params(m_step_tabular(policy, masses, config.smoothing))
+        policy = policy.with_params(m_step_tabular(policy, masses))
         elbo = compute_elbo(policy, masses)
         if exact:
             lattices = _lattices(policy, examples, retriever, agent_config)

@@ -56,8 +56,7 @@ def run_exact_training(seed: int, iterations: int):
     config = training.TrainConfig(iterations=iterations,
                                   e_step_mode="exact-enumeration",
                                   early_stop_patience=0,
-                                  validation_metric="loglik",
-                                  smoothing=1e-3)
+                                  validation_metric="loglik")
     reports, _ = training.em_train(questions, policy, retriever, config,
                                    AgentConfig(budget=2, k=3), seed=seed)
     return [r.train_loglik for r in reports]

@@ -39,7 +39,7 @@ class TestRankDirectiveParsing:
 
     def test_rank_documents_uses_policy_directive(self):
         class Ranker:
-            def rank_directive(self, sub_query, documents, keep):
+            def rank_directive(self, sub_query, documents):
                 return "[2] > [1]"
 
         docs = [Passage(id=i, title=i, text=f"s r {i}") for i in ("a", "b", "c")]
@@ -94,14 +94,14 @@ class TestRunEpisode:
             def start(self, question):
                 return self
 
-            def propose_subquery(self, state, rng):
+            def propose_subquery(self, history, rng):
                 self.hops += 1
                 return PolicyDecision(choice=f"zzz{self.hops} qqq", log_prob=0.0)
 
-            def extract_evidence(self, state, sub_query, documents, rng):
+            def extract_evidence(self, documents, rng):
                 raise AssertionError("must not be called without documents")
 
-            def answer(self, question, trajectory, rng):
+            def answer(self, trajectory, rng):
                 return PolicyDecision(choice="done", log_prob=0.0)
 
             def score_answer(self, question, trajectory, y):
@@ -119,13 +119,13 @@ class TestRunEpisode:
             def start(self, question):
                 return self
 
-            def propose_subquery(self, state, rng):
+            def propose_subquery(self, history, rng):
                 return PolicyDecision(choice="A r1", log_prob=0.0)
 
-            def extract_evidence(self, state, sub_query, documents, rng):
+            def extract_evidence(self, documents, rng):
                 return PolicyDecision(choice="B", log_prob=0.0)
 
-            def answer(self, question, trajectory, rng):
+            def answer(self, trajectory, rng):
                 return PolicyDecision(choice="B", log_prob=0.0)
 
             def score_answer(self, question, trajectory, y):

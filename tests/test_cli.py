@@ -510,6 +510,8 @@ class TestTypedInputErrors:
         pytest.param("params", None, "Expecting", id="params-not-json"),
         pytest.param("params", lambda d: d.update(version=2),
                      "unsupported params version 2", id="params-version-2"),
+        pytest.param("params", lambda d: d.update(temperature=0.5),
+                     "temperature 0.5 is not supported", id="params-temperature-0.5"),
     ])
     def test_defective_file_exits_2_naming_path(self, world_dir, tmp_path, kind,
                                                 edit, message):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,12 +6,16 @@ import pytest
 
 from conftest import chain_following_policy, chain_world, one_hot, uniform_policy
 from exsearch.agent import AgentConfig, run_episode
-from exsearch.errors import EnumerationTooLarge, NoDocuments, UnrealizableTrajectory
+from exsearch.errors import (
+    EnumerationTooLarge,
+    MalformedFile,
+    NoDocuments,
+    UnrealizableTrajectory,
+)
 from exsearch.policy import (
     ABSTAIN,
     LOG_FLOOR,
     PolicyDecision,
-    PolicyState,
     TabularPolicy,
     TabularPolicyParams,
     softmax,
@@ -20,11 +25,8 @@ from exsearch.synth import SyntheticWorld, render_corpus
 from exsearch.trajectory import Passage, Trajectory
 
 
-def empty_state(question="ent0 rel0"):
-    return PolicyState(question=question,
-                       history=Trajectory(question=question, steps=(),
-                                          terminated=False, budget=5),
-                       hop=1)
+def empty_history(question="ent0 rel0"):
+    return Trajectory(question=question, steps=(), terminated=False, budget=5)
 
 
 def tiny_world(facts, relations, hop_count=1):
@@ -38,11 +40,6 @@ def world_retriever(world):
 
 
 class TestParams:
-    def test_temperature_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TabularPolicyParams(np.zeros((2, 3)), np.zeros(2), np.zeros(2),
-                                temperature=0.0)
-
     def test_logits_must_be_finite(self):
         bad = np.zeros((2, 3))
         bad[0, 0] = np.inf
@@ -53,13 +50,33 @@ class TestParams:
         params = TabularPolicyParams(
             think_logits=np.array([[0.5, -1.0, 2.0], [0.0, 0.0, 0.0]]),
             record_logits=np.array([0.1, 0.2]),
-            answer_logits=np.array([1.0, -1.0]),
-            temperature=0.7)
+            answer_logits=np.array([1.0, -1.0]))
         path = tmp_path / "params.json"
         params.save(path)
         loaded = TabularPolicyParams.load(path)
         assert loaded.allclose(params)
         assert params.to_json_dict()["version"] == 1
+
+    def test_saved_bytes(self, tmp_path):
+        params = TabularPolicyParams(np.array([[0.5, -1.0, 2.0]]), np.array([0.25]),
+                                     np.array([1.0, -1.0]))
+        path = tmp_path / "params.json"
+        params.save(path)
+        assert path.read_bytes() == (
+            b'{"think_logits": [[0.5, -1.0, 2.0]], "record_logits": [0.25], '
+            b'"answer_logits": [1.0, -1.0], "temperature": 1.0, "version": 1}\n')
+
+    @pytest.mark.parametrize("temperature", [0.5, 2.0, 0.0, "1.0"],
+                             ids=["0.5", "2.0", "0.0", "string-1.0"])
+    def test_other_temperature_is_malformed(self, tmp_path, temperature):
+        d = TabularPolicyParams.uniform(2, budget=1, k=1).to_json_dict()
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({**d, "temperature": temperature}))
+        with pytest.raises(MalformedFile, match="temperature"):
+            TabularPolicyParams.load(path)
+        path.write_text(json.dumps({k: v for k, v in d.items() if k != "temperature"}))
+        assert TabularPolicyParams.load(path).allclose(
+            TabularPolicyParams.uniform(2, budget=1, k=1))
 
     def test_relation_width_checked(self):
         params = TabularPolicyParams.uniform(3, budget=2, k=2)
@@ -88,14 +105,14 @@ class TestProposeSubquery:
             think_logits=np.vstack([one_hot(3, 0, scale=30.0)] * 2),
             record_logits=np.zeros(3), answer_logits=np.zeros(2))
         policy = TabularPolicy(params, world.relations)
-        d = policy.propose_subquery(empty_state("A r1"), np.random.default_rng(0))
+        d = policy.propose_subquery(empty_history("A r1"), np.random.default_rng(0))
         assert d.choice == "A r1"
         assert d.log_prob == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_three_way_probabilities(self):
         world = tiny_world([("A", "r1", "B")], ("r1", "r2"))
         policy = uniform_policy(world, budget=2, k=3)
-        d = policy.propose_subquery(empty_state("A r1"), np.random.default_rng(1))
+        d = policy.propose_subquery(empty_history("A r1"), np.random.default_rng(1))
         assert d.log_prob == pytest.approx(math.log(1 / 3))
 
     def test_monte_carlo_matches_softmax_within_3_sigma(self):
@@ -109,9 +126,9 @@ class TestProposeSubquery:
         n = 100_000
         rng = np.random.default_rng(42)
         counts = np.zeros(4)
-        state = empty_state("A r1")
+        history = empty_history("A r1")
         for _ in range(n):
-            d = policy.propose_subquery(state, rng)
+            d = policy.propose_subquery(history, rng)
             if d.choice is None:
                 counts[3] += 1
             else:
@@ -138,22 +155,19 @@ class TestExtractEvidence:
     def test_single_document_log_prob_zero(self):
         world = tiny_world([("A", "r1", "B")], ("r1",))
         policy = uniform_policy(world, budget=1, k=3)
-        d = policy.extract_evidence(empty_state("A r1"), "A r1",
-                                    self.docs("B"), np.random.default_rng(0))
+        d = policy.extract_evidence(self.docs("B"), np.random.default_rng(0))
         assert d.choice == "B" and d.log_prob == pytest.approx(0.0)
 
     def test_uniform_three_documents(self):
         world = tiny_world([("A", "r1", "B")], ("r1",))
         policy = uniform_policy(world, budget=1, k=3)
-        d = policy.extract_evidence(empty_state("A r1"), "A r1",
-                                    self.docs("B", "C", "D"), np.random.default_rng(0))
+        d = policy.extract_evidence(self.docs("B", "C", "D"), np.random.default_rng(0))
         assert d.log_prob == pytest.approx(math.log(1 / 3))
 
     def test_duplicate_objects_pool_probability(self):
         world = tiny_world([("A", "r1", "B")], ("r1",))
         policy = uniform_policy(world, budget=1, k=3)
-        d = policy.extract_evidence(empty_state("A r1"), "A r1",
-                                    self.docs("B", "B", "C"), np.random.default_rng(2))
+        d = policy.extract_evidence(self.docs("B", "B", "C"), np.random.default_rng(2))
         if d.choice == "B":
             assert d.log_prob == pytest.approx(math.log(2 / 3))
         else:
@@ -163,8 +177,7 @@ class TestExtractEvidence:
         world = tiny_world([("A", "r1", "B")], ("r1",))
         policy = uniform_policy(world, budget=1, k=3)
         with pytest.raises(NoDocuments):
-            policy.extract_evidence(empty_state("A r1"), "A r1", [],
-                                    np.random.default_rng(0))
+            policy.extract_evidence([], np.random.default_rng(0))
 
     def test_monte_carlo_matches_renormalized_softmax(self):
         world = tiny_world([("A", "r1", "B")], ("r1",))
@@ -178,9 +191,8 @@ class TestExtractEvidence:
         n = 100_000
         rng = np.random.default_rng(3)
         counts = {"B": 0, "C": 0, "D": 0}
-        state = empty_state("A r1")
         for _ in range(n):
-            counts[policy.extract_evidence(state, "A r1", docs, rng).choice] += 1
+            counts[policy.extract_evidence(docs, rng).choice] += 1
         freqs = np.array([counts["B"], counts["C"], counts["D"]]) / n
         sigma = np.sqrt(expected * (1 - expected) / n)
         assert np.all(np.abs(freqs - expected) <= 3 * sigma + 1e-12)
@@ -219,7 +231,7 @@ class TestAnswerHead:
         world = tiny_world([("A", "r1", "B")], ("r1",))
         policy = uniform_policy(world, budget=1, k=1)
         t = Trajectory(question="A r1", steps=(), terminated=True, budget=1)
-        d = policy.answer("A r1", t, np.random.default_rng(0))
+        d = policy.answer(t, np.random.default_rng(0))
         assert d.choice in ("", ABSTAIN)
 
 
@@ -369,12 +381,7 @@ class TestExactMarginal:
         assert policy.exact_marginal("A r1", retriever, "zzz", 1, 1) == LOG_FLOOR
 
 
-class TestPolicyState:
-    def test_hop_consistency_enforced(self):
-        t = Trajectory(question="q", steps=(), terminated=False, budget=3)
-        with pytest.raises(ValueError):
-            PolicyState(question="q", history=t, hop=2)
-
+class TestPolicyDecision:
     def test_decision_is_plain_data(self):
         d = PolicyDecision(choice="x", log_prob=-0.5)
         assert d.choice == "x" and d.log_prob == -0.5

@@ -100,13 +100,13 @@ class StopAndAnswerPolicy:
     def start(self, question):
         return self
 
-    def propose_subquery(self, state, rng):
+    def propose_subquery(self, history, rng):
         return PolicyDecision(choice=None, log_prob=0.0)
 
-    def extract_evidence(self, state, sub_query, documents, rng):
+    def extract_evidence(self, documents, rng):
         raise AssertionError("unused")
 
-    def answer(self, question, trajectory, rng):
+    def answer(self, trajectory, rng):
         return PolicyDecision(choice=self.answers.pop(0), log_prob=0.0)
 
     def score_answer(self, question, trajectory, y):
@@ -183,6 +183,29 @@ class TestEStep:
                           AgentConfig(budget=2, k=3), seed=5, jobs=4)
         for a, b in zip(serial, parallel):
             assert a.items == b.items
+
+
+class TestWeigh:
+    def test_unreachable_golds_add_nothing(self):
+        # The trajectory ends on "B". Golds it cannot produce score LOG_FLOOR:
+        # two of them must not add up to a raw weight above the no-signal
+        # level, and one must not change the weight of a reachable gold.
+        world = tiny_world([("A", "r1", "B")], ("r1",))
+        retriever = world_retriever(world)
+        policy = chain_following_policy(world, ("r1",), budget=1, k=1)
+        from exsearch.agent import run_episode
+        result = run_episode("A r1", policy, retriever, AgentConfig(budget=1, k=1),
+                             np.random.default_rng(0))
+        samples = [(result.trajectory, result.answer)] * 2
+        reachable = policy.score_answer("A r1", result.trajectory, "B")
+        for golds, raw in ((("nosuch",), LOG_FLOOR), (("nosuch", "neither"), LOG_FLOOR),
+                           (("nosuch", "B"), reachable)):
+            example = Example(id="e", question="A r1", gold_answers=golds)
+            batch = training.weigh(example, samples, "posterior-logprob", policy)
+            assert [wt.log_weight for wt in batch.items] == [raw, raw]
+            if raw == LOG_FLOOR:
+                masses = factor_masses(policy, [batch], retriever)
+                assert masses == [None] and compute_elbo(policy, masses) == 0.0
 
 
 class TestMStep:
@@ -706,7 +729,7 @@ def lattice_rigs(draw):
              rng.normal(0.0, 2.0, size=2)]
     for head in heads:
         head[rng.random(head.shape) < 0.2] = -1e9
-    params = TabularPolicyParams(*heads, temperature=draw(st.sampled_from([1.0, 0.5, 2.0])))
+    params = TabularPolicyParams(*heads)
     retriever = Retriever(build_index(render_corpus(world)))
     return TabularPolicy(params, relations), examples, retriever, budget, k
 
@@ -730,7 +753,7 @@ def reference_em(examples, policy, retriever, config, acfg):
     for iteration in range(config.iterations):
         masses = factor_masses(policy, exact_posterior_batches(
             examples, policy, retriever, acfg.budget, acfg.k), retriever)
-        policy = policy.with_params(m_step_tabular(policy, masses, config.smoothing))
+        policy = policy.with_params(m_step_tabular(policy, masses))
         elbo = compute_elbo(policy, masses)
         loglik = float(np.mean([policy.exact_marginal_set(ex, retriever, acfg.budget,
                                                           acfg.k)
@@ -782,7 +805,7 @@ class TestLatticeOracle:
         p = policy.params
         reversed_heads = TabularPolicyParams(p.think_logits[::-1, ::-1],
                                              p.record_logits[::-1],
-                                             p.answer_logits[::-1], p.temperature)
+                                             p.answer_logits[::-1])
         signal = [lat for lat in lattices if lat.has_signal]
         for scorer, rel in ((policy, 0), (policy.with_params(updated), 0),
                             (policy.with_params(reversed_heads), 1e-12)):
