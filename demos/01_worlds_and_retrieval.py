@@ -4,8 +4,8 @@ Builds a small fact-graph world, renders it into a passage corpus, indexes
 it, and runs a few searches to show how chain questions resolve hop by hop.
 """
 
-from exsearch import build_index, generate_world, make_questions, render_corpus, search
-from exsearch.retrieval import load_index, save_index
+from exsearch.retrieval import build_index, load_index, save_index, search
+from exsearch.synth import generate_world, make_questions, render_corpus
 
 
 def main():

@@ -6,20 +6,11 @@ rendered transcript, and the parse that recovers it.
 
 import numpy as np
 
-from exsearch import (
-    AgentConfig,
-    Retriever,
-    TabularPolicy,
-    TabularPolicyParams,
-    build_index,
-    generate_world,
-    make_questions,
-    parse_transcript,
-    render_corpus,
-    render_transcript,
-    run_episode,
-)
-from exsearch.synth import best_relation_sequence
+from exsearch.agent import AgentConfig, run_episode
+from exsearch.policy import TabularPolicy, TabularPolicyParams
+from exsearch.retrieval import Retriever, build_index
+from exsearch.synth import best_relation_sequence, generate_world, make_questions, render_corpus
+from exsearch.trajectory import parse_transcript, render_transcript
 
 
 def main():

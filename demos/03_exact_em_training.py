@@ -10,21 +10,11 @@ trajectories equals the enumerated log-marginal.
 
 import math
 
-from exsearch import (
-    AgentConfig,
-    Retriever,
-    TabularPolicy,
-    TabularPolicyParams,
-    TrainConfig,
-    build_index,
-    em_train,
-    generate_world,
-    make_questions,
-    render_corpus,
-)
-from exsearch.policy import Lattice
-from exsearch.synth import best_relation_sequence
-from exsearch.training import posterior_entropy
+from exsearch.agent import AgentConfig
+from exsearch.policy import Lattice, TabularPolicy, TabularPolicyParams
+from exsearch.retrieval import Retriever, build_index
+from exsearch.synth import best_relation_sequence, generate_world, make_questions, render_corpus
+from exsearch.training import TrainConfig, em_train, posterior_entropy
 
 
 def main():

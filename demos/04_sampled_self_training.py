@@ -12,19 +12,11 @@ import math
 
 import numpy as np
 
-from exsearch import (
-    AgentConfig,
-    Retriever,
-    TabularPolicy,
-    TabularPolicyParams,
-    TrainConfig,
-    build_index,
-    em_train,
-    generate_world,
-    make_questions,
-    render_corpus,
-)
-from exsearch.synth import best_relation_sequence
+from exsearch.agent import AgentConfig
+from exsearch.policy import TabularPolicy, TabularPolicyParams
+from exsearch.retrieval import Retriever, build_index
+from exsearch.synth import best_relation_sequence, generate_world, make_questions, render_corpus
+from exsearch.training import TrainConfig, em_train
 
 
 def expected_em(policy, examples, retriever, config):

@@ -12,11 +12,12 @@ import os
 import tempfile
 from pathlib import Path
 
-from exsearch import AgentConfig, Retriever, TrainConfig, build_index, e_step
-from exsearch import generate_world, make_questions, render_corpus
+from exsearch.agent import AgentConfig
 from exsearch.llm import ChatPolicy, EndpointConfig, HttpChatClient
+from exsearch.retrieval import Retriever, build_index
 from exsearch.stub import ChainOracleBehavior, StubChatServer
-from exsearch.training import export_weighted_sft
+from exsearch.synth import generate_world, make_questions, render_corpus
+from exsearch.training import TrainConfig, e_step, export_weighted_sft
 
 
 def main():

@@ -8,12 +8,11 @@ raw rankings.
 
 import numpy as np
 
-from exsearch import AgentConfig, Retriever, build_index, run_episode
-from exsearch import generate_world, make_questions, render_corpus
-from exsearch.agent import episode_rng
+from exsearch.agent import AgentConfig, episode_rng, run_episode
 from exsearch.metrics import pool_trajectory, precision_at_k
 from exsearch.policy import TabularPolicy, TabularPolicyParams
-from exsearch.synth import best_relation_sequence
+from exsearch.retrieval import Retriever, build_index
+from exsearch.synth import best_relation_sequence, generate_world, make_questions, render_corpus
 
 
 def chain_policy(world, sequence, budget, k):

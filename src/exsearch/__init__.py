@@ -15,37 +15,13 @@ The package splits into:
 * :mod:`exsearch.metrics` — answer and retrieval evaluation;
 * :mod:`exsearch.stub` — offline chat-completion stub server;
 * :mod:`exsearch.cli` — the ``exsearch`` command.
-"""
 
-from .agent import AgentConfig, EpisodeResult, episode_rng, rank_documents, run_episode
-from .metrics import MetricsReport, accuracy, evaluate_run, exact_match, normalize_answer, token_f1
-from .policy import PolicyDecision, TabularPolicy, TabularPolicyParams
-from .retrieval import CorpusIndex, Retriever, build_index, load_index, save_index, search, tokenize
-from .synth import SyntheticWorld, generate_world, make_questions, render_corpus
-from .training import (
-    ExampleBatch,
-    IterationReport,
-    TrainConfig,
-    compute_elbo,
-    e_step,
-    em_train,
-    export_weighted_sft,
-    factor_masses,
-    m_step_tabular,
-    normalize_weights,
-    warmup_format,
-)
-from .trajectory import (
-    Example,
-    ParsedTranscript,
-    Passage,
-    ScoredPassage,
-    Step,
-    Trajectory,
-    TrajectoryRecord,
-    WeightedTrajectory,
-    parse_transcript,
-    render_transcript,
-)
+Import each name from its module (``from exsearch.retrieval import
+build_index``). The package root re-exports nothing, so importing one module
+loads only what that module imports: :mod:`exsearch.stub` needs only the
+standard library, and :mod:`exsearch.trajectory`, :mod:`exsearch.retrieval`,
+:mod:`exsearch.metrics` and :mod:`exsearch.errors` load neither numpy nor the
+policy, agent or training modules.
+"""
 
 __version__ = "0.1.0"

@@ -291,10 +291,11 @@ def cmd_train(args, config: dict) -> int:
             loglik = ("" if r.train_loglik is None
                       else f" train_loglik={r.train_loglik:.6f}")
             print(f"iteration {r.iteration}{loglik} elbo={r.elbo:.6f} "
-                  f"val={r.validation_score:.6f}")
+                  f"val={r.validation_score:.6f} failures={r.failures}")
     _emit(args, f"trained {len(reports)} iterations -> {args.params_out}, {args.history}",
           {"iterations": len(reports), "params": str(args.params_out),
-           "history": str(args.history)})
+           "history": str(args.history),
+           "failures": [r.failures for r in reports]})
     return EXIT_OK
 
 

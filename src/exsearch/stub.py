@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import re
 import threading
+import traceback
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Sequence
@@ -169,11 +170,18 @@ class StubChatServer:
             def do_POST(self):  # noqa: N802 (http.server API)
                 length = int(self.headers.get("Content-Length", 0))
                 try:
-                    request = json.loads(self.rfile.read(length) or b"{}")
-                except json.JSONDecodeError:
-                    request = {}
-                with outer._lock:
-                    status, body = outer.behavior(request)
+                    request = json.loads(self.rfile.read(length))
+                except ValueError:  # not JSON, or not UTF-8
+                    request = None
+                if not isinstance(request, dict):
+                    status, body = 400, {"error": "request body is not a JSON object"}
+                else:
+                    try:
+                        with outer._lock:
+                            status, body = outer.behavior(request)
+                    except Exception as exc:  # answer, and keep serving
+                        traceback.print_exc()
+                        status, body = 500, {"error": f"stub behavior raised {exc!r}"}
                 payload = json.dumps(body).encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")

@@ -113,13 +113,15 @@ class ExampleBatch:
 
 @dataclass(frozen=True)
 class IterationReport:
-    """One completed training iteration."""
+    """One completed training iteration; ``failures`` counts the E-step's
+    failed episodes (always 0 in exact mode, which runs none)."""
 
     iteration: int
     train_loglik: float | None
     elbo: float
     validation_score: float
     wall_time: float
+    failures: int = 0
 
 
 @dataclass
@@ -386,15 +388,17 @@ def em_train(examples: Sequence[Example], policy: TabularPolicy,
     for iteration in range(config.iterations):
         started = time.perf_counter()
         train_loglik = None
+        failures = 0
         if exact:
             if lattices is None:
                 lattices = _lattices(policy, examples, retriever, agent_config)
             masses = [lat.posterior for lat in lattices]
         else:
-            masses = factor_masses(policy, e_step(
+            batches = e_step(
                 examples, policy, retriever, config, agent_config, seed=seed,
-                sample_base=iteration * config.samples_per_example, jobs=jobs),
-                retriever)
+                sample_base=iteration * config.samples_per_example, jobs=jobs)
+            failures = sum(b.failures for b in batches)
+            masses = factor_masses(policy, batches, retriever)
         policy = policy.with_params(m_step_tabular(policy, masses))
         elbo = compute_elbo(policy, masses)
         if exact:
@@ -407,7 +411,8 @@ def em_train(examples: Sequence[Example], policy: TabularPolicy,
                                       seed, iteration)
         reports.append(IterationReport(
             iteration=iteration, train_loglik=train_loglik, elbo=elbo,
-            validation_score=score, wall_time=time.perf_counter() - started))
+            validation_score=score, wall_time=time.perf_counter() - started,
+            failures=failures))
         if best is None or score > best + EARLY_STOP_MIN_DELTA:
             best = score
             streak = 0

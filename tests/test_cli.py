@@ -140,7 +140,8 @@ class TestTrainAndAsk:
                      "--k", "3", "--params-out", str(params),
                      "--history", str(history), "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == {
-            "iterations": 2, "params": str(params), "history": str(history)}
+            "iterations": 2, "params": str(params), "history": str(history),
+            "failures": [0, 0]}
 
     def test_sampled_train_is_unchanged_by_jobs(self, world_dir, tmp_path, capsys):
         for jobs in ("1", "4"):

@@ -1,3 +1,4 @@
+import http.client
 import json
 import os
 import socket
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.parse
 from pathlib import Path
 
 import pytest
@@ -390,11 +392,48 @@ class TestEndpointConfig:
         assert config.timeout == 3
 
 
-def test_importing_exsearch_leaves_requests_unloaded():
+class TestStubServer:
+    @pytest.mark.parametrize("body, status", [
+        (b"[]", 400),                   # JSON, but not an object
+        (b"\xff{not json", 400),        # neither UTF-8 nor JSON
+        (b'{"messages": "x"}', 500),    # the behavior raises AttributeError
+    ], ids=["array", "undecodable", "behavior-raises"])
+    def test_bad_bodies_get_an_error_response(self, body, status):
+        with StubChatServer(ChainOracleBehavior()) as server:
+            url = urllib.parse.urlsplit(server.base_url)
+            conn = http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+            try:
+                conn.request("POST", "/v1/chat/completions", body=body,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                assert response.status == status
+                assert "error" in json.loads(response.read())
+            finally:
+                conn.close()
+            # the server keeps serving after the bad request
+            client = HttpChatClient(make_config(server))
+            out = client.complete([ChatTurn("user", "<USER QUERY> ent1 rel0")], ["<SEARCH>"])
+            assert out == "<THINK> ent1 rel0\n"
+
+
+def loaded_modules(imports: str) -> set[str]:
+    """The modules in ``sys.modules`` after ``import <imports>`` in a fresh
+    interpreter."""
     src = Path(__file__).resolve().parent.parent / "src"
-    code = ("import sys, exsearch, exsearch.cli, exsearch.stub; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))")
+    code = f"import sys, {imports}; print('\\n'.join(sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return set(out.stdout.split())
+
+
+def test_importing_exsearch_leaves_requests_unloaded():
+    loaded = loaded_modules("exsearch, exsearch.cli, exsearch.stub")
+    assert sorted(m for m in loaded if m.split(".")[0] == "requests") == []
+
+
+@pytest.mark.parametrize("module", ["exsearch.stub", "exsearch.trajectory",
+                                    "exsearch.retrieval", "exsearch.metrics"])
+def test_light_modules_load_neither_numpy_nor_the_trainer(module):
+    heavy = {"numpy", "exsearch.policy", "exsearch.training"}
+    assert sorted(loaded_modules(module) & heavy) == []

@@ -15,7 +15,7 @@ from conftest import (
 )
 from exsearch import training
 from exsearch.agent import AgentConfig
-from exsearch.errors import MissingAnnotation, UnrealizableTrajectory
+from exsearch.errors import EndpointError, MissingAnnotation, UnrealizableTrajectory
 from exsearch.policy import (
     ABSTAIN,
     LOG_FLOOR,
@@ -385,6 +385,27 @@ class TestEmTrain:
                               retriever, config, AgentConfig(budget=2, k=3), seed=0)
         assert len(reports) == 3
         assert calls == ["m_step_tabular", "compute_elbo"] * 3
+
+    def test_failed_episodes_are_reported_per_iteration(self):
+        class FailsFirstEpisode(TabularPolicy):
+            """Its first episode raises; the policies ``with_params`` makes
+            from it after the first M-step never do."""
+
+            failed = False
+
+            def start(self, question):
+                if not self.failed:
+                    self.failed = True
+                    raise EndpointError("endpoint went away")
+                return self
+
+        world, questions, retriever = chain_world(seed=1, n_questions=3)
+        params = TabularPolicyParams.uniform(len(world.relations), 2, 3)
+        config = TrainConfig(iterations=2, samples_per_example=2,
+                             e_step_mode="sampled", early_stop_patience=0)
+        reports, _ = em_train(questions, FailsFirstEpisode(params, world.relations),
+                              retriever, config, AgentConfig(budget=2, k=3), seed=0)
+        assert [r.failures for r in reports] == [1, 0]
 
     def test_history_csv_layout(self, tmp_path):
         world, questions, retriever = chain_world(seed=1, n_questions=3)
@@ -856,6 +877,7 @@ class TestExactTraining:
         reports, params = em_train(questions[:2], uniform_policy(world, 2, 3),
                                    retriever, config, acfg, val_examples=questions[2:])
         assert calls == []
+        assert [r.failures for r in reports] == [0, 0, 0]
         # the separate validation set is scored by the lattice's forward pass
         trained = TabularPolicy(params, world.relations)
         assert reports[-1].validation_score == pytest.approx(
