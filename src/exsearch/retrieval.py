@@ -4,8 +4,10 @@ BM25 (k1=0.9, b=0.4) with the non-negative smoothed idf
 ``ln(1 + (N - df + 0.5) / (df + 0.5))`` so that a passage scores 0 exactly
 when it shares no term with the query; zero-scoring passages are never
 returned. No stemming or stopword removal; both title and body are indexed.
-A query costs one pass over the posting lists of its distinct terms.
-The index is immutable after build and safe for concurrent searches.
+A term's idf and a passage's length norm are fixed once the index is built,
+so :func:`build_index` stores each posting's whole BM25 weight and a query
+costs one pass adding up the weights in the posting lists of its distinct
+terms. The index is immutable after build and safe for concurrent searches.
 
 An index file holds only the passages; everything else in a
 :class:`CorpusIndex` is derived from them, so loading one rebuilds the
@@ -19,6 +21,7 @@ import json
 import math
 import re
 import zlib
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -45,20 +48,14 @@ def tokenize(text: str) -> list[str]:
 class CorpusIndex:
     """Inverted index over a passage corpus.
 
-    ``postings`` maps each term to (passage id, term frequency) pairs sorted
-    by passage id; ``doc_lengths`` counts indexed tokens per passage.
+    ``postings`` maps each term to ``{passage id: BM25 weight}`` for the
+    passages holding it, the weight being ``idf * (K1 + 1) * tf / (tf + norm)``
+    with the idf and the passage's length norm applied at build.
     """
 
-    postings: dict[str, tuple[tuple[str, int], ...]]
-    doc_lengths: dict[str, int]
-    avg_doc_length: float
+    postings: dict[str, dict[str, float]]
     doc_count: int
     passages: dict[str, Passage]
-
-
-def indexed_text(passage: Passage) -> str:
-    """The text a passage is indexed (and searched) under."""
-    return f"{passage.title} {passage.text}"
 
 
 def build_index(passages: Iterable[Passage]) -> CorpusIndex:
@@ -69,23 +66,26 @@ def build_index(passages: Iterable[Passage]) -> CorpusIndex:
             raise DuplicateId(f"duplicate passage id: {p.id!r}")
         store[p.id] = p
 
-    counts: dict[str, dict[str, int]] = {}
-    doc_lengths: dict[str, int] = {}
+    postings: defaultdict[str, dict[str, float]] = defaultdict(dict)
+    lengths: dict[str, int] = {}
     for pid, p in store.items():
-        tokens = tokenize(indexed_text(p))
-        doc_lengths[pid] = len(tokens)
+        tokens = tokenize(f"{p.title} {p.text}")
+        lengths[pid] = len(tokens)
         for tok in tokens:
-            counts.setdefault(tok, {}).setdefault(pid, 0)
-            counts[tok][pid] += 1
+            per_doc = postings[tok]
+            per_doc[pid] = per_doc.get(pid, 0) + 1
 
-    postings = {
-        term: tuple(sorted(per_doc.items()))
-        for term, per_doc in sorted(counts.items())
-    }
     n = len(store)
-    avg = (sum(doc_lengths.values()) / n) if n else 0.0
-    return CorpusIndex(postings=postings, doc_lengths=doc_lengths,
-                       avg_doc_length=avg, doc_count=n, passages=store)
+    avg = (sum(lengths.values()) / n) if n else 0.0
+    for per_doc in postings.values():
+        df = len(per_doc)
+        # scale * tf is idf * (K1 + 1.0) * tf evaluated left to right, so a
+        # weight has the bits of the BM25 expression written out in full.
+        # Any posting means some passage has tokens, so avg > 0 here.
+        scale = math.log(1.0 + (n - df + 0.5) / (df + 0.5)) * (K1 + 1.0)
+        for pid, tf in per_doc.items():  # each count becomes its weight
+            per_doc[pid] = scale * tf / (tf + K1 * (1.0 - B + B * lengths[pid] / avg))
+    return CorpusIndex(postings=dict(postings), doc_count=n, passages=store)
 
 
 def search(index: CorpusIndex, query: str, k: int) -> list[ScoredPassage]:
@@ -99,20 +99,22 @@ def search(index: CorpusIndex, query: str, k: int) -> list[ScoredPassage]:
         raise ValueError("k must be >= 1")
     if index.doc_count == 0:
         raise EmptyIndex("cannot search an empty index")
-    avg = index.avg_doc_length
     scores: dict[str, float] = {}
-    # Term at a time, in query order: every passage sums its terms' shares
+    get = scores.get
+    # Term at a time, in query order: every passage sums its terms' weights
     # in the same order, so equal inputs give exactly equal (tied) scores.
     for term in dict.fromkeys(tokenize(query)):
-        plist = index.postings.get(term, ())
-        df = len(plist)
-        idf = math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
-        for pid, tf in plist:
-            norm = K1 * (1.0 - B + B * index.doc_lengths[pid] / avg) if avg else K1
-            scores[pid] = scores.get(pid, 0.0) + idf * (K1 + 1.0) * tf / (tf + norm)
-    ranked = heapq.nsmallest(k, scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [ScoredPassage(passage_ref=pid, score=s, rank=i)
-            for i, (pid, s) in enumerate(ranked, 1)]
+        for pid, w in index.postings.get(term, {}).items():
+            scores[pid] = get(pid, 0.0) + w
+    if not scores:
+        return []
+    # Every passage in the top k scores at least the k-th largest score;
+    # sorting those few by id, then stably by score, breaks ties by id.
+    floor = heapq.nlargest(k, scores.values())[-1]
+    ranked = sorted(pid for pid, s in scores.items() if s >= floor)
+    ranked.sort(key=scores.__getitem__, reverse=True)
+    return [ScoredPassage(passage_ref=pid, score=scores[pid], rank=i)
+            for i, pid in enumerate(ranked[:k], 1)]
 
 
 @dataclass
