@@ -32,7 +32,8 @@ def main():
                          np.random.default_rng(0))
     print("\nuniform-policy transcript:")
     print(render_transcript(result.trajectory, result.answer))
-    print(f"episode log-probability: {result.log_prob:.3f}")
+    log_prob = uniform.trajectory_log_prob(result.trajectory, retriever, result.answer)
+    print(f"episode log-probability: {log_prob:.3f}")
 
     # a saturated policy follows the chain deterministically
     n = len(world.relations)

@@ -16,7 +16,6 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .policy import PolicyDecision
 from .retrieval import Retriever
 from .trajectory import Passage, Step, Trajectory
 
@@ -26,17 +25,19 @@ _RANK_POSITION_RE = re.compile(r"\[(\d+)\]")
 class Episode(Protocol):
     """One episode's decision-maker, owning whatever state the episode needs.
 
-    It may also offer ``rank_directive(sub_query, documents)`` for the
+    Each decision returns the text it chose: a sub-query (None for STOP),
+    the evidence recorded from the documents, the final answer. It may also
+    offer ``rank_directive(sub_query, documents)`` for the
     document-selection action.
     """
 
     def propose_subquery(self, history: Trajectory,
-                         rng: np.random.Generator) -> PolicyDecision: ...
+                         rng: np.random.Generator) -> str | None: ...
 
     def extract_evidence(self, documents: Sequence[Passage],
-                         rng: np.random.Generator) -> PolicyDecision: ...
+                         rng: np.random.Generator) -> str: ...
 
-    def answer(self, trajectory: Trajectory, rng: np.random.Generator) -> PolicyDecision: ...
+    def answer(self, trajectory: Trajectory, rng: np.random.Generator) -> str: ...
 
 
 class Policy(Protocol):
@@ -71,15 +72,10 @@ class AgentConfig:
 
 @dataclass(frozen=True)
 class EpisodeResult:
-    """Episode outputs plus the summed decision log-probability.
-
-    ``log_prob`` is meaningful for policies that report per-decision
-    likelihoods (the tabular policy); chat policies report 0.0 throughout.
-    """
+    """Episode outputs: the trajectory and the final answer."""
 
     trajectory: Trajectory
     answer: str
-    log_prob: float
 
 
 def episode_rng(global_seed: int, example_id: str, sample_index: int) -> np.random.Generator:
@@ -136,15 +132,12 @@ def run_episode(question: str, policy: Policy, retriever: Retriever,
     episode = policy.start(question)
     steps: list[Step] = []
     seen_subqueries: set[str] = set()
-    log_prob = 0.0
     for hop in range(1, config.budget + 1):
         history = Trajectory(question=question, steps=tuple(steps),
                              terminated=False, budget=config.budget)
-        decision = episode.propose_subquery(history, rng)
-        log_prob += decision.log_prob
-        if decision.choice is None:
+        sub_query = episode.propose_subquery(history, rng)
+        if sub_query is None:
             break
-        sub_query = decision.choice
         if config.dedup_subqueries and sub_query in seen_subqueries:
             break
         seen_subqueries.add(sub_query)
@@ -157,18 +150,10 @@ def run_episode(question: str, policy: Policy, retriever: Retriever,
                                             config.rerank_keep))
             documents = [retriever.get(pid) for pid in selected]
 
-        if not hits:
-            evidence = ""
-        else:
-            extraction = episode.extract_evidence(documents, rng)
-            log_prob += extraction.log_prob
-            evidence = extraction.choice or ""
+        evidence = episode.extract_evidence(documents, rng) if hits else ""
         steps.append(Step(sub_query=sub_query, retrieved=tuple(hits),
                           selected=selected, evidence=evidence, hop=hop))
 
     trajectory = Trajectory(question=question, steps=tuple(steps),
                             terminated=True, budget=config.budget)
-    final = episode.answer(trajectory, rng)
-    log_prob += final.log_prob
-    return EpisodeResult(trajectory=trajectory, answer=final.choice or "",
-                         log_prob=log_prob)
+    return EpisodeResult(trajectory=trajectory, answer=episode.answer(trajectory, rng))

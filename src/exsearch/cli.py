@@ -49,6 +49,31 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+# The keys of the typed config sections and their types: a bool must be a
+# boolean and an int an integer that is not a boolean.
+_SECTION_TYPES = {
+    "agent": {"budget": int, "k": int, "rerank": bool, "rerank_keep": int,
+              "dedup_subqueries": bool},
+    "trainer": {"iterations": int, "samples_per_example": int, "weight_mode": str,
+                "early_stop_patience": int, "validation_metric": str},
+}
+
+
+def _check_sections(config) -> None:
+    if not isinstance(config, dict):
+        raise UsageError("a config file must hold a table of sections")
+    for section, types in _SECTION_TYPES.items():
+        values = config.get(section, {})
+        if not isinstance(values, dict):
+            raise UsageError(f"the [{section}] config section must be a table")
+        for key, value in values.items():
+            if key not in types:
+                raise UsageError(f"unknown key in the [{section}] config section: {key}")
+            if type(value) is not types[key]:
+                raise UsageError(f"[{section}] {key} must be of type "
+                                 f"{types[key].__name__}, not {value!r}")
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -59,9 +84,12 @@ def _load_config(path: str | None) -> dict:
         except ImportError as exc:
             raise UsageError("TOML configs need Python 3.11+; use JSON") from exc
         with open(p, "rb") as fh:
-            return tomllib.load(fh)
-    with open(p, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+            config = tomllib.load(fh)
+    else:
+        with open(p, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    _check_sections(config)
+    return config
 
 
 def _pick(flag_value, config: dict, section: str, key: str, default):
@@ -72,14 +100,13 @@ def _pick(flag_value, config: dict, section: str, key: str, default):
 
 def _agent_config(args, config: dict) -> agent.AgentConfig:
     return agent.AgentConfig(
-        budget=int(_pick(getattr(args, "budget", None), config, "agent", "budget", 5)),
-        k=int(_pick(getattr(args, "k", None), config, "agent", "k", 5)),
-        rerank=bool(_pick(getattr(args, "rerank", None) or None, config, "agent",
-                          "rerank", False)),
-        rerank_keep=int(_pick(getattr(args, "rerank_keep", None), config, "agent",
-                              "rerank_keep", 3)),
-        dedup_subqueries=bool(_pick(getattr(args, "dedup", None) or None, config,
-                                    "agent", "dedup_subqueries", False)),
+        budget=_pick(getattr(args, "budget", None), config, "agent", "budget", 5),
+        k=_pick(getattr(args, "k", None), config, "agent", "k", 5),
+        rerank=_pick(getattr(args, "rerank", None), config, "agent", "rerank", False),
+        rerank_keep=_pick(getattr(args, "rerank_keep", None), config, "agent",
+                          "rerank_keep", 3),
+        dedup_subqueries=_pick(getattr(args, "dedup", None), config, "agent",
+                               "dedup_subqueries", False),
     )
 
 
@@ -263,14 +290,14 @@ def cmd_train(args, config: dict) -> int:
     agent_config = _agent_config(args, config)
 
     train_config = training.TrainConfig(
-        iterations=int(_pick(args.iterations, config, "trainer", "iterations", 5)),
-        samples_per_example=int(_pick(args.samples, config, "trainer",
-                                      "samples_per_example", 2)),
+        iterations=_pick(args.iterations, config, "trainer", "iterations", 5),
+        samples_per_example=_pick(args.samples, config, "trainer",
+                                  "samples_per_example", 2),
         weight_mode=_pick(args.weight_mode, config, "trainer", "weight_mode",
                           "posterior-logprob"),
         e_step_mode=("exact-enumeration" if args.mode == "exact" else "sampled"),
-        early_stop_patience=int(_pick(args.patience, config, "trainer",
-                                      "early_stop_patience", 1)),
+        early_stop_patience=_pick(args.patience, config, "trainer",
+                                  "early_stop_patience", 1),
         validation_metric=_pick(args.val_metric, config, "trainer",
                                 "validation_metric",
                                 "loglik" if args.mode == "exact" else "em"),

@@ -52,7 +52,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AuthError, EndpointError, LogprobsUnsupported, NoDocuments, Timeout
-from .policy import PolicyDecision
 from .trajectory import (FINAL_VARIANTS, RANK, RECORD, SEARCH, THINK, Passage, Trajectory,
                          render_transcript)
 
@@ -411,9 +410,8 @@ class ChatPolicy:
 
     Each :meth:`start` opens a :class:`ChatEpisode` holding that episode's
     transcript, so one policy (and its client) can serve concurrent
-    episodes. Per-decision log-probabilities are not observable over the
-    wire and are reported as 0.0; answer likelihoods for importance
-    weighting come from :meth:`score_answer` instead.
+    episodes. Its decisions return text only; answer likelihoods for
+    importance weighting come from :meth:`score_answer`.
     """
 
     def __init__(self, client: HttpChatClient):
@@ -447,19 +445,19 @@ class ChatEpisode:
         self.assistant += text
 
     def propose_subquery(self, history: Trajectory,
-                         rng: np.random.Generator) -> PolicyDecision:
+                         rng: np.random.Generator) -> str | None:
         if self.finalizing:
-            return PolicyDecision(choice=None, log_prob=0.0)
+            return None
         if self.pending_think is not None:
             sub_query, self.pending_think = self.pending_think, None
-            return PolicyDecision(choice=sub_query, log_prob=0.0)
+            return sub_query
         text = self._generate(GENERATION_STOPS)
         self._append(text)
         thinks = _THINK_RE.findall(text)
         if not thinks:
             self.finalizing = True
-            return PolicyDecision(choice=None, log_prob=0.0)
-        return PolicyDecision(choice=thinks[-1].strip(), log_prob=0.0)
+            return None
+        return thinks[-1].strip()
 
     def _docs_line(self, documents: Sequence[Passage]) -> str:
         def flat(text: str) -> str:
@@ -479,7 +477,7 @@ class ChatEpisode:
         return text.strip()
 
     def extract_evidence(self, documents: Sequence[Passage],
-                         rng: np.random.Generator) -> PolicyDecision:
+                         rng: np.random.Generator) -> str:
         if not documents:
             raise NoDocuments("cannot extract evidence from an empty document list")
         if not self.docs_injected:
@@ -494,10 +492,10 @@ class ChatEpisode:
             self.pending_think = thinks[-1].strip()
         else:
             self.finalizing = True
-        return PolicyDecision(choice=evidence, log_prob=0.0)
+        return evidence
 
-    def answer(self, trajectory: Trajectory, rng: np.random.Generator) -> PolicyDecision:
+    def answer(self, trajectory: Trajectory, rng: np.random.Generator) -> str:
         self.assistant = _answer_prefix(trajectory)
         text = self._generate(["\n"], max_tokens=64)
         self._append(text)
-        return PolicyDecision(choice=text.strip(), log_prob=0.0)
+        return text.strip()

@@ -10,9 +10,10 @@ The tabular policy factors an episode into categorical decisions:
   entity (last token) of the chosen passage;
 * an answer head over {copy the last evidence, abstain}.
 
-Decisions are distributions over the *texts* they produce: positions that
-yield the same evidence string pool their probability mass, so replayed
-log-probabilities match sampled ones exactly.
+Decisions are distributions over the *texts* they produce, and an episode's
+decisions return only that text. :meth:`TabularPolicy.replay` scores a
+trajectory: positions that yield the same evidence string pool their
+probability mass.
 
 Mass on these decision factors is a :class:`FactorMass`.
 :meth:`TabularPolicy.replay` adds weighted trajectories to it and the
@@ -66,18 +67,6 @@ def logsumexp(values: Iterable[float]) -> float:
         return LOG_FLOOR
     m = max(vals)
     return m + math.log(sum(math.exp(v - m) for v in vals))
-
-
-@dataclass(frozen=True)
-class PolicyDecision:
-    """An action choice and its natural-log probability.
-
-    ``choice`` is the produced payload (sub-query, evidence, or answer text);
-    None encodes the STOP outcome of the think head.
-    """
-
-    choice: str | None
-    log_prob: float
 
 
 @dataclass(eq=False)
@@ -220,33 +209,25 @@ class TabularPolicy:
         return self
 
     def propose_subquery(self, history: Trajectory,
-                         rng: np.random.Generator) -> PolicyDecision:
+                         rng: np.random.Generator) -> str | None:
         probs = self.think_probs(len(history.steps) + 1)
         idx = int(rng.choice(len(probs), p=probs))
         if idx == len(self.relations):
-            return PolicyDecision(choice=None, log_prob=math.log(probs[idx]))
+            return None
         entity = (history.last_evidence if history.steps
                   else question_start_entity(history.question))
-        sub_query = f"{entity} {self.relations[idx]}"
-        return PolicyDecision(choice=sub_query, log_prob=math.log(probs[idx]))
+        return f"{entity} {self.relations[idx]}"
 
     def extract_evidence(self, documents: Sequence[Passage],
-                         rng: np.random.Generator) -> PolicyDecision:
+                         rng: np.random.Generator) -> str:
         if not documents:
             raise NoDocuments("cannot extract evidence from an empty document list")
         probs = self.record_probs(len(documents))
-        idx = int(rng.choice(len(probs), p=probs))
-        evidence = passage_object(documents[idx])
-        mass = sum(p for p, doc in zip(probs, documents)
-                   if passage_object(doc) == evidence)
-        return PolicyDecision(choice=evidence, log_prob=math.log(mass))
+        return passage_object(documents[int(rng.choice(len(probs), p=probs))])
 
-    def answer(self, trajectory: Trajectory, rng: np.random.Generator) -> PolicyDecision:
+    def answer(self, trajectory: Trajectory, rng: np.random.Generator) -> str:
         probs = self.answer_probs()
-        idx = int(rng.choice(len(probs), p=probs))
-        text = (trajectory.last_evidence, ABSTAIN)[idx]
-        return PolicyDecision(choice=text, log_prob=self.score_answer(
-            trajectory.question, trajectory, text))
+        return (trajectory.last_evidence, ABSTAIN)[int(rng.choice(len(probs), p=probs))]
 
     def score_answer(self, question: str, trajectory: Trajectory, y: str) -> float:
         """log of the probability mass the answer head assigns to exactly y.
@@ -357,9 +338,6 @@ class TabularPolicy:
                     () if answer is None else (answer,))
         return mass.log_prob(self)
 
-    def enumeration_bound(self, budget: int, k: int) -> int:
-        return ((len(self.relations) + 1) * max(1, k)) ** budget * 2
-
     def enumerate_trajectories(self, example: Example | str, retriever: Retriever,
                                budget: int, k: int,
                                cap: int = 1_000_000
@@ -370,12 +348,13 @@ class TabularPolicy:
         linear-domain probabilities sum to 1 (within float error). Branches
         of probability exactly 0 are pruned. The agent's document selection
         (``rerank``) and its stop on a repeated sub-query (``dedup``) are
-        outside both the enumerated process and the :class:`Lattice`. This
-        is the oracle the lattice is checked against; its cost grows as
-        ((#relations + 1) * k) ** budget, hence ``cap``.
+        outside both the enumerated process and the :class:`Lattice`; exact
+        training rejects ``dedup``. This is the oracle the lattice is checked
+        against; its cost grows as ((#relations + 1) * k) ** budget, hence
+        ``cap``.
         """
         question = example.question if isinstance(example, Example) else example
-        bound = self.enumeration_bound(budget, k)
+        bound = ((len(self.relations) + 1) * max(1, k)) ** budget * 2
         if bound > cap:
             raise EnumerationTooLarge(bound, cap)
 
@@ -429,16 +408,10 @@ class TabularPolicy:
         recurse((), 0.0, question_start_entity(question), 1)
         return leaves
 
-    def exact_marginal(self, example: Example | str, retriever: Retriever, y: str,
-                       budget: int, k: int, cap: int = 1_000_000) -> float:
-        """log sum over trajectories of p(z | x) * p(y | x, z), by enumeration."""
-        leaves = self.enumerate_trajectories(example, retriever, budget, k, cap)
-        terms = [lp for _t, answer, lp in leaves if answer == y]
-        return logsumexp(terms)
-
     def exact_marginal_set(self, example: Example, retriever: Retriever,
                            budget: int, k: int, cap: int = 1_000_000) -> float:
-        """Marginal log-probability of producing any gold answer."""
+        """log sum over trajectories of p(z | x) * p(any gold answer | x, z),
+        by enumeration."""
         golds = set(example.gold_answers)
         leaves = self.enumerate_trajectories(example, retriever, budget, k, cap)
         terms = [lp for _t, answer, lp in leaves if answer in golds]

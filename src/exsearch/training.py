@@ -134,13 +134,6 @@ class Exploration:
     errors: list[tuple[int, ExsearchError]]
 
 
-def normalize_weights(raw_log_weights: Sequence[float]) -> np.ndarray:
-    """Softmax with max-subtraction: shift-invariant, sums to 1."""
-    if len(raw_log_weights) == 0:
-        raise ValueError("need at least one raw weight")
-    return softmax(raw_log_weights)
-
-
 def explore(examples: Sequence[Example], policy, retriever: Retriever,
             agent_config: AgentConfig, samples: int, seed: int = 0,
             sample_base: int = 0, jobs: int = 1) -> list[Exploration]:
@@ -191,7 +184,7 @@ def weigh(example: Example, samples: Sequence[tuple[Trajectory, str]],
         entries = [(t, a, float(reward(a, golds))) for t, a in samples]
     if not entries:
         return ExampleBatch(example=example, items=[], failures=failures)
-    weights = normalize_weights([raw for _t, _a, raw in entries])
+    weights = softmax([raw for _t, _a, raw in entries])
     items = [WeightedTrajectory(trajectory=t, answer=a, log_weight=raw,
                                 weight=float(w), weight_mode=weight_mode)
              for (t, a, raw), w in zip(entries, weights)]
@@ -378,8 +371,13 @@ def em_train(examples: Sequence[Example], policy: TabularPolicy,
     ``EARLY_STOP_MIN_DELTA`` for ``early_stop_patience`` consecutive
     iterations (patience 0 disables).
     Returns one report per completed iteration plus the final parameters.
+    Exact mode raises ValueError when ``agent_config`` stops episodes on a
+    repeated sub-query (``dedup_subqueries``).
     """
     exact = config.e_step_mode == "exact-enumeration"
+    if exact and agent_config.dedup_subqueries:
+        raise ValueError("exact training cannot stop on a repeated sub-query "
+                         "(dedup): the lattice's states do not record the path")
     val = list(val_examples) if val_examples is not None else list(examples)
     lattices = None
     reports: list[IterationReport] = []

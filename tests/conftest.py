@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from exsearch import agent, retrieval, synth
-from exsearch.policy import LOG_FLOOR, TabularPolicy, TabularPolicyParams, logsumexp
-from exsearch.training import ExampleBatch, normalize_weights
+from exsearch.policy import LOG_FLOOR, TabularPolicy, TabularPolicyParams, logsumexp, softmax
+from exsearch.training import ExampleBatch
 from exsearch.trajectory import (
     Passage,
     ScoredPassage,
@@ -112,7 +112,7 @@ def exact_posterior_batches(examples, policy: TabularPolicy,
             if answer in golds:
                 per_traj[trajectory].append(logp)
         raws = [logsumexp(terms) if terms else LOG_FLOOR for terms in per_traj.values()]
-        weights = normalize_weights(raws)
+        weights = softmax(raws)
         items = [WeightedTrajectory(trajectory=t, answer=example.gold_answers[0],
                                     log_weight=raw, weight=float(w),
                                     weight_mode="posterior-logprob")

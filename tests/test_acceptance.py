@@ -23,7 +23,7 @@ from conftest import (
 from exsearch import agent, metrics, retrieval, synth, training
 from exsearch.agent import AgentConfig, parse_rank_directive
 from exsearch.cli import main
-from exsearch.policy import TabularPolicy
+from exsearch.policy import TabularPolicy, softmax
 from exsearch.stub import ChainOracleBehavior, StubChatServer
 from exsearch.trajectory import (
     parse_transcript,
@@ -161,16 +161,16 @@ def test_self_improvement(mode, iterations):
 
 
 def test_weight_arithmetic():
-    fixture = training.normalize_weights([math.log(0.9), math.log(0.1)])
+    fixture = softmax([math.log(0.9), math.log(0.1)])
     assert fixture[0] == pytest.approx(0.9, abs=1e-12)
     assert fixture[1] == pytest.approx(0.1, abs=1e-12)
     rng = np.random.default_rng(1)
     for _ in range(200):
         raws = rng.normal(scale=10, size=int(rng.integers(1, 9)))
-        weights = training.normalize_weights(raws)
+        weights = softmax(raws)
         assert abs(weights.sum() - 1.0) <= 1e-9
         assert np.all(weights >= 0.0)
-        shifted = training.normalize_weights(raws + float(rng.normal(scale=50)))
+        shifted = softmax(raws + float(rng.normal(scale=50)))
         assert np.all(np.abs(weights - shifted) <= 1e-12)
     passed("weight arithmetic (softmax fixtures, sums, shift invariance)")
 

@@ -4,7 +4,6 @@ import pytest
 from conftest import chain_following_policy, chain_world, tiny_wiki_corpus, uniform_policy
 from exsearch.agent import AgentConfig, episode_rng, parse_rank_directive, rank_documents, run_episode
 from exsearch.llm import ChatPolicy, EndpointConfig, HttpChatClient
-from exsearch.policy import PolicyDecision
 from exsearch.retrieval import Retriever, build_index
 from exsearch.stub import ScriptedBehavior, StubChatServer
 from exsearch.synth import SyntheticWorld, render_corpus
@@ -96,13 +95,13 @@ class TestRunEpisode:
 
             def propose_subquery(self, history, rng):
                 self.hops += 1
-                return PolicyDecision(choice=f"zzz{self.hops} qqq", log_prob=0.0)
+                return f"zzz{self.hops} qqq"
 
             def extract_evidence(self, documents, rng):
                 raise AssertionError("must not be called without documents")
 
             def answer(self, trajectory, rng):
-                return PolicyDecision(choice="done", log_prob=0.0)
+                return "done"
 
             def score_answer(self, question, trajectory, y):
                 return 0.0
@@ -120,13 +119,13 @@ class TestRunEpisode:
                 return self
 
             def propose_subquery(self, history, rng):
-                return PolicyDecision(choice="A r1", log_prob=0.0)
+                return "A r1"
 
             def extract_evidence(self, documents, rng):
-                return PolicyDecision(choice="B", log_prob=0.0)
+                return "B"
 
             def answer(self, trajectory, rng):
-                return PolicyDecision(choice="B", log_prob=0.0)
+                return "B"
 
             def score_answer(self, question, trajectory, y):
                 return 0.0

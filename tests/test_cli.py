@@ -163,6 +163,29 @@ class TestTrainAndAsk:
         assert len(histories[0]) == 3
         assert histories[1] == histories[0]
 
+    def train(self, world_dir, tmp_path, name, *flags):
+        return main(["train", "--world", str(world_dir / "world.json"),
+                     "--examples", str(world_dir / "examples.jsonl"),
+                     "--budget", "2", "--k", "3", "--patience", "0",
+                     "--params-out", str(tmp_path / f"{name}.json"),
+                     "--history", str(tmp_path / f"{name}.csv"), *flags])
+
+    def test_exact_train_resumes_from_params_in(self, world_dir, tmp_path, capsys):
+        assert self.train(world_dir, tmp_path, "two", "--iterations", "2") == 0
+        assert self.train(world_dir, tmp_path, "one", "--iterations", "1") == 0
+        assert self.train(world_dir, tmp_path, "resumed", "--iterations", "1",
+                          "--params-in", str(tmp_path / "one.json")) == 0
+        capsys.readouterr()
+        assert ((tmp_path / "resumed.json").read_bytes()
+                == (tmp_path / "two.json").read_bytes())
+
+    def test_exact_train_rejects_dedup(self, world_dir, tmp_path, capsys):
+        assert self.train(world_dir, tmp_path, "dedup", "--mode", "exact",
+                          "--dedup") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("exsearch: error: ValueError: ") and "dedup" in err
+        assert not (tmp_path / "dedup.json").exists()
+
     def test_ask_with_scripted_llm_stub_matches_fixture(self, tmp_path, capsys,
                                                         monkeypatch):
         corpus = tmp_path / "corpus.jsonl"
@@ -223,8 +246,8 @@ class TestWeighAndEval:
         raws = [wt.log_weight for _i, wt in weighted]
         weights = [wt.weight for _i, wt in weighted]
         assert raws == [1.0, 0.0]
-        from exsearch.training import normalize_weights
-        assert weights == pytest.approx(list(normalize_weights([1.0, 0.0])))
+        from exsearch.policy import softmax
+        assert weights == pytest.approx(list(softmax([1.0, 0.0])))
 
     def test_eval_all_correct_fixture(self, tmp_path, capsys):
         examples = [trajectory.Example(id=f"e{i}", question="q",
@@ -474,6 +497,31 @@ class TestTypedInputErrors:
                          "--config", str(config), "--world", str(world_dir / "world.json"))
         line = self._error_line(result, 1)
         assert line.startswith("exsearch: error: UsageError: ") and "timeout_s" in line
+
+    @pytest.mark.parametrize("section, values, key", [
+        pytest.param("agent", {"rerank": "false"}, "rerank", id="string-rerank"),
+        pytest.param("agent", {"dedup_subqueries": "no"}, "dedup_subqueries",
+                     id="string-dedup"),
+        pytest.param("trainer", {"iterations": 2.9}, "iterations", id="float-iterations"),
+        pytest.param("agent", {"budget": [2]}, "budget", id="list-budget"),
+        pytest.param("agent", {"rerank_keep": True}, "rerank_keep", id="bool-rerank-keep"),
+        pytest.param("agent", {"budjet": 2}, "budjet", id="unknown-agent-key"),
+        pytest.param("trainer", {"itrations": 2}, "itrations", id="unknown-trainer-key"),
+    ])
+    def test_ill_typed_or_unknown_config_key_exits_1(self, world_dir, tmp_path, capsys,
+                                                     section, values, key):
+        config = tmp_path / "engine.json"
+        config.write_text(json.dumps({section: values}))
+        params = tmp_path / "params.json"
+        code = main(["train", "--world", str(world_dir / "world.json"),
+                     "--examples", str(world_dir / "examples.jsonl"),
+                     "--k", "2", "--patience", "0", "--config", str(config),
+                     "--params-out", str(params), "--history", str(tmp_path / "h.csv")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and len(err) == 1
+        assert err[0].startswith("exsearch: error: UsageError: ")
+        assert f"[{section}]" in err[0] and key in err[0]
+        assert not params.exists()
 
     @pytest.mark.parametrize("edit, message", [
         pytest.param(lambda llm: llm.update(timeout="3"), "timeout must be a finite number",

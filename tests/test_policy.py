@@ -15,14 +15,13 @@ from exsearch.errors import (
 from exsearch.policy import (
     ABSTAIN,
     LOG_FLOOR,
-    PolicyDecision,
     TabularPolicy,
     TabularPolicyParams,
     softmax,
 )
 from exsearch.retrieval import Retriever, build_index
 from exsearch.synth import SyntheticWorld, render_corpus
-from exsearch.trajectory import Passage, Trajectory
+from exsearch.trajectory import Example, Passage, Step, Trajectory
 
 
 def empty_history(question="ent0 rel0"):
@@ -37,6 +36,14 @@ def tiny_world(facts, relations, hop_count=1):
 
 def world_retriever(world):
     return Retriever(build_index(render_corpus(world)))
+
+
+def one_step_trajectory(retriever, sub_query, evidence, k):
+    """A one-hop trajectory at budget 1: it has no STOP decision, so replay
+    scores only its think and record decisions."""
+    step = Step(sub_query=sub_query, retrieved=tuple(retriever.search(sub_query, k)),
+                selected=None, evidence=evidence, hop=1)
+    return Trajectory(question=sub_query, steps=(step,), terminated=True, budget=1)
 
 
 class TestParams:
@@ -105,15 +112,16 @@ class TestProposeSubquery:
             think_logits=np.vstack([one_hot(3, 0, scale=30.0)] * 2),
             record_logits=np.zeros(3), answer_logits=np.zeros(2))
         policy = TabularPolicy(params, world.relations)
-        d = policy.propose_subquery(empty_history("A r1"), np.random.default_rng(0))
-        assert d.choice == "A r1"
-        assert d.log_prob == pytest.approx(0.0, abs=1e-9)
+        assert policy.propose_subquery(empty_history("A r1"),
+                                       np.random.default_rng(0)) == "A r1"
 
     def test_uniform_three_way_probabilities(self):
+        # one retrieved document: the record decision has probability 1
         world = tiny_world([("A", "r1", "B")], ("r1", "r2"))
+        retriever = world_retriever(world)
         policy = uniform_policy(world, budget=2, k=3)
-        d = policy.propose_subquery(empty_history("A r1"), np.random.default_rng(1))
-        assert d.log_prob == pytest.approx(math.log(1 / 3))
+        t = one_step_trajectory(retriever, "A r1", "B", 3)
+        assert policy.trajectory_log_prob(t, retriever) == pytest.approx(math.log(1 / 3))
 
     def test_monte_carlo_matches_softmax_within_3_sigma(self):
         world = tiny_world([("A", "r1", "B")], ("r1", "r2", "r3"))
@@ -128,11 +136,11 @@ class TestProposeSubquery:
         counts = np.zeros(4)
         history = empty_history("A r1")
         for _ in range(n):
-            d = policy.propose_subquery(history, rng)
-            if d.choice is None:
+            sub_query = policy.propose_subquery(history, rng)
+            if sub_query is None:
                 counts[3] += 1
             else:
-                counts[world.relations.index(d.choice.split()[1])] += 1
+                counts[world.relations.index(sub_query.split()[1])] += 1
         freqs = counts / n
         sigma = np.sqrt(expected * (1 - expected) / n)
         assert np.all(np.abs(freqs - expected) <= 3 * sigma + 1e-12)
@@ -152,26 +160,31 @@ class TestExtractEvidence:
         return [Passage(id=f"p{i}", title="t", text=f"s r {o}")
                 for i, o in enumerate(objs)]
 
+    def replayed(self, facts, evidence):
+        """Replayed log-probability of the hop "A r1" recording ``evidence``
+        from the top 3 documents, under a think head certain of r1 (so only
+        the uniform record decision contributes)."""
+        world = tiny_world(facts, ("r1", "r2", "r3"))
+        retriever = world_retriever(world)
+        params = TabularPolicyParams(
+            think_logits=np.array([[0.0, LOG_FLOOR, LOG_FLOOR, LOG_FLOOR]] * 2),
+            record_logits=np.zeros(3), answer_logits=np.zeros(2))
+        policy = TabularPolicy(params, world.relations)
+        t = one_step_trajectory(retriever, "A r1", evidence, 3)
+        return policy.trajectory_log_prob(t, retriever)
+
     def test_single_document_log_prob_zero(self):
-        world = tiny_world([("A", "r1", "B")], ("r1",))
-        policy = uniform_policy(world, budget=1, k=3)
-        d = policy.extract_evidence(self.docs("B"), np.random.default_rng(0))
-        assert d.choice == "B" and d.log_prob == pytest.approx(0.0)
+        assert self.replayed([("A", "r1", "B")], "B") == pytest.approx(0.0)
 
     def test_uniform_three_documents(self):
-        world = tiny_world([("A", "r1", "B")], ("r1",))
-        policy = uniform_policy(world, budget=1, k=3)
-        d = policy.extract_evidence(self.docs("B", "C", "D"), np.random.default_rng(0))
-        assert d.log_prob == pytest.approx(math.log(1 / 3))
+        facts = [("A", "r1", "B"), ("A", "r2", "C"), ("A", "r3", "D")]
+        assert self.replayed(facts, "B") == pytest.approx(math.log(1 / 3))
 
     def test_duplicate_objects_pool_probability(self):
-        world = tiny_world([("A", "r1", "B")], ("r1",))
-        policy = uniform_policy(world, budget=1, k=3)
-        d = policy.extract_evidence(self.docs("B", "B", "C"), np.random.default_rng(2))
-        if d.choice == "B":
-            assert d.log_prob == pytest.approx(math.log(2 / 3))
-        else:
-            assert d.log_prob == pytest.approx(math.log(1 / 3))
+        # "A r1 B" and "A r2 B" both yield B: its two positions pool
+        facts = [("A", "r1", "B"), ("A", "r2", "B"), ("A", "r3", "C")]
+        assert self.replayed(facts, "B") == pytest.approx(math.log(2 / 3))
+        assert self.replayed(facts, "C") == pytest.approx(math.log(1 / 3))
 
     def test_empty_documents_raise(self):
         world = tiny_world([("A", "r1", "B")], ("r1",))
@@ -192,7 +205,7 @@ class TestExtractEvidence:
         rng = np.random.default_rng(3)
         counts = {"B": 0, "C": 0, "D": 0}
         for _ in range(n):
-            counts[policy.extract_evidence(docs, rng).choice] += 1
+            counts[policy.extract_evidence(docs, rng)] += 1
         freqs = np.array([counts["B"], counts["C"], counts["D"]]) / n
         sigma = np.sqrt(expected * (1 - expected) / n)
         assert np.all(np.abs(freqs - expected) <= 3 * sigma + 1e-12)
@@ -231,8 +244,7 @@ class TestAnswerHead:
         world = tiny_world([("A", "r1", "B")], ("r1",))
         policy = uniform_policy(world, budget=1, k=1)
         t = Trajectory(question="A r1", steps=(), terminated=True, budget=1)
-        d = policy.answer(t, np.random.default_rng(0))
-        assert d.choice in ("", ABSTAIN)
+        assert policy.answer(t, np.random.default_rng(0)) in ("", ABSTAIN)
 
 
 class TestTrajectoryLogProb:
@@ -245,16 +257,33 @@ class TestTrajectoryLogProb:
         lp = policy.trajectory_log_prob(result.trajectory, retriever, result.answer)
         assert lp == pytest.approx(0.0, abs=1e-9)
 
-    def test_replay_equals_recorded_decision_sum(self):
-        world, questions, retriever = chain_world(seed=6, density=1.0)
-        policy = uniform_policy(world, budget=2, k=3)
-        config = AgentConfig(budget=2, k=3)
-        for i, ex in enumerate(questions):
-            result = run_episode(ex.question, policy, retriever, config,
-                                 np.random.default_rng(100 + i))
-            replayed = policy.trajectory_log_prob(result.trajectory, retriever,
-                                                  result.answer)
-            assert replayed == pytest.approx(result.log_prob, abs=1e-9)
+    def test_sampled_episodes_follow_replayed_probabilities(self):
+        # Every sampled (trajectory, answer) is an enumerated leaf, and each
+        # leaf's sampling frequency is within 5 sigma of its replayed
+        # probability (about 40 leaves, so 3 sigma would fail by chance).
+        world, questions, retriever = chain_world(seed=6, n_entities=6, n_relations=2,
+                                                  density=1.0)
+        rng = np.random.default_rng(11)
+        params = TabularPolicyParams(think_logits=rng.normal(size=(3, 3)),
+                                     record_logits=rng.normal(size=2),
+                                     answer_logits=rng.normal(size=2))
+        policy = TabularPolicy(params, world.relations)
+        question = questions[0].question
+        leaves = {(t, a): lp for t, a, lp in
+                  policy.enumerate_trajectories(question, retriever, 2, 2)}
+        for (t, a), lp in leaves.items():
+            assert policy.trajectory_log_prob(t, retriever, a) == pytest.approx(lp, abs=1e-9)
+        n = 20_000
+        counts = dict.fromkeys(leaves, 0)
+        config = AgentConfig(budget=2, k=2)
+        for _ in range(n):
+            result = run_episode(question, policy, retriever, config, rng)
+            key = (result.trajectory, result.answer)
+            assert key in counts
+            counts[key] += 1
+        for key, lp in leaves.items():
+            p = math.exp(lp)
+            assert abs(counts[key] / n - p) <= 5 * math.sqrt(p * (1 - p) / n) + 1e-12
 
     def test_linear_domain_product_matches(self):
         world, questions, retriever = chain_world(seed=6, density=1.0)
@@ -354,12 +383,16 @@ class TestEnumeration:
             policy.enumerate_trajectories(questions[0], retriever, 5, 5, cap=1000)
 
 
+def example(gold):
+    return Example(id="e", question="A r1", gold_answers=(gold,))
+
+
 class TestExactMarginal:
     def test_deterministic_correct_policy_scores_zero(self):
         world = tiny_world([("A", "r1", "B")], ("r1", "r2"))
         retriever = world_retriever(world)
         policy = chain_following_policy(world, ("r1",), budget=1, k=1)
-        assert policy.exact_marginal("A r1", retriever, "B", 1, 1) == pytest.approx(
+        assert policy.exact_marginal_set(example("B"), retriever, 1, 1) == pytest.approx(
             0.0, abs=1e-9)
 
     def test_half_mass_two_branch_world(self):
@@ -371,17 +404,11 @@ class TestExactMarginal:
             think_logits=np.vstack([np.array([0.0, 0.0, -1000.0])] * 2),
             record_logits=one_hot(1, 0), answer_logits=one_hot(2, 0))
         policy = TabularPolicy(params, world.relations)
-        got = policy.exact_marginal("A r1", retriever, "B", 1, 1)
+        got = policy.exact_marginal_set(example("B"), retriever, 1, 1)
         assert got == pytest.approx(math.log(0.5), abs=1e-9)
 
     def test_unreachable_answer_floors(self):
         world = tiny_world([("A", "r1", "B")], ("r1",))
         retriever = world_retriever(world)
         policy = chain_following_policy(world, ("r1",), budget=1, k=1)
-        assert policy.exact_marginal("A r1", retriever, "zzz", 1, 1) == LOG_FLOOR
-
-
-class TestPolicyDecision:
-    def test_decision_is_plain_data(self):
-        d = PolicyDecision(choice="x", log_prob=-0.5)
-        assert d.choice == "x" and d.log_prob == -0.5
+        assert policy.exact_marginal_set(example("zzz"), retriever, 1, 1) == LOG_FLOOR

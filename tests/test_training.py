@@ -21,9 +21,9 @@ from exsearch.policy import (
     LOG_FLOOR,
     ExpectedCounts,
     Lattice,
-    PolicyDecision,
     TabularPolicy,
     TabularPolicyParams,
+    softmax,
 )
 from exsearch.retrieval import Retriever, build_index
 from exsearch.synth import SyntheticWorld, generate_world, render_corpus
@@ -45,7 +45,6 @@ from exsearch.training import (
     factor_masses,
     m_step_tabular,
     mean_train_loglik,
-    normalize_weights,
     posterior_entropy,
     update_from_counts,
     warmup_format,
@@ -66,28 +65,30 @@ def world_retriever(world):
 
 
 class TestNormalizeWeights:
+    """``weigh`` normalizes each example's raw log-weights with ``softmax``."""
+
     def test_direct_softmax_fixture(self):
-        got = normalize_weights([math.log(0.9), math.log(0.1)])
+        got = softmax([math.log(0.9), math.log(0.1)])
         assert got[0] == pytest.approx(0.9, abs=1e-12)
         assert got[1] == pytest.approx(0.1, abs=1e-12)
 
     @given(st.floats(min_value=-100, max_value=100))
     def test_equal_raw_weights_split_evenly(self, c):
-        got = normalize_weights([c, c])
+        got = softmax([c, c])
         assert got[0] == pytest.approx(0.5) and got[1] == pytest.approx(0.5)
 
     @given(finite_logs)
     def test_sums_to_one(self, raws):
-        assert normalize_weights(raws).sum() == pytest.approx(1.0, abs=1e-9)
+        assert softmax(raws).sum() == pytest.approx(1.0, abs=1e-9)
 
     @given(finite_logs, st.floats(min_value=-20, max_value=20))
     def test_shift_invariant(self, raws, shift):
-        base = normalize_weights(raws)
-        moved = normalize_weights([r + shift for r in raws])
+        base = softmax(raws)
+        moved = softmax([r + shift for r in raws])
         assert np.all(np.abs(base - moved) <= 1e-12)
 
     def test_floor_inputs_allowed(self):
-        got = normalize_weights([LOG_FLOOR, 0.0])
+        got = softmax([LOG_FLOOR, 0.0])
         assert got[1] == pytest.approx(1.0)
 
 
@@ -101,13 +102,13 @@ class StopAndAnswerPolicy:
         return self
 
     def propose_subquery(self, history, rng):
-        return PolicyDecision(choice=None, log_prob=0.0)
+        return None
 
     def extract_evidence(self, documents, rng):
         raise AssertionError("unused")
 
     def answer(self, trajectory, rng):
-        return PolicyDecision(choice=self.answers.pop(0), log_prob=0.0)
+        return self.answers.pop(0)
 
     def score_answer(self, question, trajectory, y):
         return math.log(0.5)
@@ -134,7 +135,7 @@ class TestEStep:
                          config, AgentConfig(budget=1, k=1))
         (batch,) = batches
         assert [wt.log_weight for wt in batch.items] == [1.0, 0.0]
-        expected = normalize_weights([1.0, 0.0])
+        expected = softmax([1.0, 0.0])
         assert [wt.weight for wt in batch.items] == pytest.approx(list(expected))
         assert [wt.answer for wt in batch.items] == ["four", "five"]
 
@@ -451,7 +452,7 @@ class TestElbo:
         (batch,) = exact_posterior_batches([example], policy, retriever, 1, 1)
         elbo = compute_elbo(policy, factor_masses(policy, [batch], retriever))
         entropy = posterior_entropy([wt.weight for wt in batch.items])
-        marginal = policy.exact_marginal("A r1", retriever, "B", 1, 1)
+        marginal = policy.exact_marginal_set(example, retriever, 1, 1)
         assert elbo + entropy == pytest.approx(marginal, abs=1e-9)
 
     def test_jensen_bound_for_arbitrary_weights(self):
@@ -460,7 +461,7 @@ class TestElbo:
         leaves = policy.enumerate_trajectories("A r1", retriever, 1, 1)
         trajectories = sorted({t for t, _a, _lp in leaves},
                               key=lambda t: t.steps[0].sub_query if t.steps else "")
-        marginal = policy.exact_marginal("A r1", retriever, "B", 1, 1)
+        marginal = policy.exact_marginal_set(example, retriever, 1, 1)
         rng = np.random.default_rng(0)
         for _ in range(100):
             raw = rng.random(len(trajectories))
@@ -479,7 +480,7 @@ class TestElbo:
                                    chain_following_policy(world, (rel,), 1, 1), 1, 1)
                    for rel in ("r1", "r2")]
         assert [r.answer for r in results] == ["B", "C"]  # C is a wrong answer
-        weights = normalize_weights([1.0, 0.0])
+        weights = softmax([1.0, 0.0])
         batch = ExampleBatch(
             example=Example(id="e", question="A r1", gold_answers=("B",)),
             items=[make_weighted(r, float(w), raw, mode="reward-em")
