@@ -11,7 +11,7 @@ trajectories equals the enumerated log-marginal.
 import math
 
 from exsearch.agent import AgentConfig
-from exsearch.policy import Lattice, TabularPolicy, TabularPolicyParams
+from exsearch.policy import EdgeTable, Lattice, TabularPolicy, TabularPolicyParams
 from exsearch.retrieval import Retriever, build_index
 from exsearch.synth import best_relation_sequence, generate_world, make_questions, render_corpus
 from exsearch.training import TrainConfig, em_train, posterior_entropy
@@ -46,7 +46,8 @@ def main():
     # that posterior (over enumerated trajectories) back recovers the marginal
     trained = TabularPolicy(params, world.relations)
     example = questions[0]
-    elbo = Lattice(trained, example, retriever, 2, 3).posterior.log_prob(trained)
+    edges = EdgeTable(retriever, world.relations, k=3).weigh(trained)
+    elbo = Lattice(edges, example, budget=2).posterior.log_prob(trained)
     marginal = trained.exact_marginal_set(example, retriever, 2, 3)
     posterior: dict = {}
     for trajectory, answer, logp in trained.enumerate_trajectories(example, retriever,

@@ -49,9 +49,14 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-# The keys of the typed config sections and their types: a bool must be a
-# boolean and an int an integer that is not a boolean.
+# The top-level keys of a config file, the keys of its typed sections and
+# their types: a bool must be a boolean and an int an integer that is not a
+# boolean. The [llm] section's keys are checked by _endpoint_config. A
+# [retriever] k is read by nothing (the retrieval size is [agent] k or --k);
+# it stays accepted because perfbench's llm_pipeline config still sets it.
+_TOP_LEVEL_KEYS = ("seed", "retriever", "agent", "trainer", "llm")
 _SECTION_TYPES = {
+    "retriever": {"index": str, "k": int},
     "agent": {"budget": int, "k": int, "rerank": bool, "rerank_keep": int,
               "dedup_subqueries": bool},
     "trainer": {"iterations": int, "samples_per_example": int, "weight_mode": str,
@@ -62,6 +67,11 @@ _SECTION_TYPES = {
 def _check_sections(config) -> None:
     if not isinstance(config, dict):
         raise UsageError("a config file must hold a table of sections")
+    for key in config:
+        if key not in _TOP_LEVEL_KEYS:
+            raise UsageError(f"unknown top-level config key: {key}")
+    if "seed" in config and type(config["seed"]) is not int:
+        raise UsageError(f"seed must be of type int, not {config['seed']!r}")
     for section, types in _SECTION_TYPES.items():
         values = config.get(section, {})
         if not isinstance(values, dict):
@@ -112,8 +122,8 @@ def _agent_config(args, config: dict) -> agent.AgentConfig:
 
 def _seed(args, config: dict) -> int:
     if args.seed is not None:
-        return int(args.seed)
-    return int(config.get("seed", 0))
+        return args.seed
+    return config.get("seed", 0)
 
 
 def _endpoint_config(config: dict) -> llm.EndpointConfig:

@@ -25,9 +25,16 @@ The next decision depends only on the hop and the current entity, so the
 trajectory space folds onto a lattice of at most budget x (#entities + 1)
 (hop, entity) states. A forward-backward pass over it (:class:`Lattice`)
 gives the marginal likelihood of the gold answers, the posterior expected
-counts of every head and the ELBO in closed form at any budget. Exhaustive
-enumeration of the trajectories (:meth:`TabularPolicy.enumerate_trajectories`)
-is kept as the independent oracle at desk scale.
+counts of every head and the ELBO in closed form at any budget. The
+lattice's edges depend on neither the example nor the parameters: one
+:class:`EdgeTable` per retriever, relation vocabulary, retrieval size and
+document selection holds them, and :meth:`EdgeTable.weigh` prices them once
+per policy (:class:`WeightedEdges`) for every lattice of that policy. The
+agent's document selection (``rerank``) is deterministic for the tabular
+policy, so it is part of the exact process: the table and the enumeration
+build each step from the documents it keeps. Exhaustive enumeration of the
+trajectories (:meth:`TabularPolicy.enumerate_trajectories`) is kept as the
+independent oracle at desk scale.
 
 Logits of -1e9 underflow to probability 0.0 exactly and such branches are
 pruned from enumeration and from the lattice, so deterministic policies stay
@@ -44,6 +51,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .agent import rank_documents
 from .errors import EnumerationTooLarge, NoDocuments, UnrealizableTrajectory
 from .retrieval import Retriever, tokenize
 from .trajectory import Example, Passage, Step, Trajectory, read_json_file
@@ -66,7 +74,9 @@ def logsumexp(values: Iterable[float]) -> float:
     if not vals:
         return LOG_FLOOR
     m = max(vals)
-    return m + math.log(sum(math.exp(v - m) for v in vals))
+    if len(vals) == 1:
+        return m  # m + log(exp(m - m)) is exactly m
+    return m + math.log(sum([math.exp(v - m) for v in vals]))
 
 
 @dataclass(eq=False)
@@ -242,12 +252,14 @@ class TabularPolicy:
 
     # -- document selection (extension action) ---------------------------------
 
-    def rank_directive(self, sub_query: str, documents: Sequence[Passage]) -> str:
+    @staticmethod
+    def rank_directive(sub_query: str, documents: Sequence[Passage]) -> str:
         """Emit a "[i] > [j] > ..." ordering preferring exact fact matches.
 
         Documents whose text starts with "<entity> <relation>" from the
         sub-query come first, then documents titled by the entity, then the
-        retriever's order; ties keep the original order.
+        retriever's order; ties keep the original order. No parameter enters
+        it, so every tabular policy selects the same documents.
         """
         tokens = tokenize(sub_query)
         entity = tokens[0] if tokens else ""
@@ -340,18 +352,19 @@ class TabularPolicy:
 
     def enumerate_trajectories(self, example: Example | str, retriever: Retriever,
                                budget: int, k: int,
-                               cap: int = 1_000_000
+                               cap: int = 1_000_000, rerank_keep: int | None = None
                                ) -> list[tuple[Trajectory, str, float]]:
         """Exhaustively enumerate (trajectory, answer, joint log-prob) leaves.
 
         Leaves are mutually exclusive and probability-complete: their
         linear-domain probabilities sum to 1 (within float error). Branches
-        of probability exactly 0 are pruned. The agent's document selection
-        (``rerank``) and its stop on a repeated sub-query (``dedup``) are
-        outside both the enumerated process and the :class:`Lattice`; exact
-        training rejects ``dedup``. This is the oracle the lattice is checked
-        against; its cost grows as ((#relations + 1) * k) ** budget, hence
-        ``cap``.
+        of probability exactly 0 are pruned. With ``rerank_keep`` every step
+        records from the documents the agent's document selection keeps
+        (``rerank``), as an episode does. The agent's stop on a repeated
+        sub-query (``dedup``) is outside both the enumerated process and the
+        :class:`Lattice`; exact training rejects it. This is the oracle the
+        lattice is checked against; its cost grows as ((#relations + 1) * k)
+        ** budget, hence ``cap``.
         """
         question = example.question if isinstance(example, Example) else example
         bound = ((len(self.relations) + 1) * max(1, k)) ** budget * 2
@@ -391,6 +404,10 @@ class TabularPolicy:
                     recurse(steps + (step,), logp + math.log(p_rel), "", hop + 1)
                     continue
                 docs = retriever.resolve(hits)
+                selected = None
+                if rerank_keep is not None:
+                    selected = tuple(rank_documents(self, sub_query, docs, rerank_keep))
+                    docs = [retriever.get(pid) for pid in selected]
                 rec = self.record_probs(len(docs))
                 masses: dict[str, float] = {}
                 for p, doc in zip(rec, docs):
@@ -400,7 +417,7 @@ class TabularPolicy:
                     if mass == 0.0:
                         continue
                     step = Step(sub_query=sub_query, retrieved=tuple(hits),
-                                selected=None, evidence=evidence, hop=hop)
+                                selected=selected, evidence=evidence, hop=hop)
                     recurse(steps + (step,),
                             logp + math.log(p_rel) + math.log(mass),
                             evidence, hop + 1)
@@ -409,11 +426,13 @@ class TabularPolicy:
         return leaves
 
     def exact_marginal_set(self, example: Example, retriever: Retriever,
-                           budget: int, k: int, cap: int = 1_000_000) -> float:
+                           budget: int, k: int, cap: int = 1_000_000,
+                           rerank_keep: int | None = None) -> float:
         """log sum over trajectories of p(z | x) * p(any gold answer | x, z),
         by enumeration."""
         golds = set(example.gold_answers)
-        leaves = self.enumerate_trajectories(example, retriever, budget, k, cap)
+        leaves = self.enumerate_trajectories(example, retriever, budget, k, cap,
+                                             rerank_keep)
         terms = [lp for _t, answer, lp in leaves if answer in golds]
         return logsumexp(terms)
 
@@ -498,19 +517,131 @@ class FactorMass:
         return float(total)
 
 
+Edge = tuple[tuple[int, tuple[int, ...]] | None, str]
+
+
+class EdgeTable:
+    """The lattice's edges for one retriever, relation vocabulary, retrieval
+    size ``k`` and document selection; every example and every policy with
+    these relations shares them.
+
+    ``edges(entity, idx)`` are the outcomes of the search
+    "<entity> <relations[idx]>": one (record key, next entity) per distinct
+    evidence text, in order of its first position, the record key being
+    (number of documents, positions yielding that evidence); or the one
+    empty-retrieval edge (None, "") when the search finds nothing. With
+    ``rerank_keep`` the documents are those the tabular policy's document
+    selection keeps, as in an agent episode with ``rerank``. Entries fill on
+    first use, so only the pairs some lattice reaches are searched, once.
+    """
+
+    def __init__(self, retriever: Retriever, relations: Sequence[str], k: int,
+                 rerank_keep: int | None = None):
+        self.retriever = retriever
+        self.relations = tuple(relations)
+        self.k = k
+        self.rerank_keep = rerank_keep
+        self._edges: dict[tuple[str, int], tuple[Edge, ...]] = {}
+
+    def edges(self, entity: str, idx: int) -> tuple[Edge, ...]:
+        key = (entity, idx)
+        if key not in self._edges:
+            self._edges[key] = self._search(entity, idx)
+        return self._edges[key]
+
+    def _search(self, entity: str, idx: int) -> tuple[Edge, ...]:
+        sub_query = f"{entity} {self.relations[idx]}"
+        hits = self.retriever.search(sub_query, self.k)
+        if not hits:
+            return ((None, ""),)
+        docs = self.retriever.resolve(hits)
+        if self.rerank_keep is not None:
+            # rank_directive is a staticmethod: any tabular policy selects so
+            docs = [self.retriever.get(pid) for pid in rank_documents(
+                TabularPolicy, sub_query, docs, self.rerank_keep)]
+        positions: dict[str, list[int]] = {}
+        for j, doc in enumerate(docs):
+            positions.setdefault(passage_object(doc), []).append(j)
+        return tuple(((len(docs), tuple(js)), evidence)
+                     for evidence, js in positions.items())
+
+    def weigh(self, policy: TabularPolicy) -> "WeightedEdges":
+        """The table priced by ``policy``'s parameters."""
+        return WeightedEdges(policy, self)
+
+
+class WeightedEdges:
+    """An :class:`EdgeTable` under one policy: the moves out of each
+    (hop, entity) state, computed on first use and shared by every
+    :class:`Lattice` of that policy.
+
+    A move is (relation index, record key, next entity, log-prob); the
+    record key is None after an empty retrieval, which has no record
+    decision. Moves of probability 0 are pruned, and ``record_probs`` raises
+    UnrealizableTrajectory on a state whose documents outnumber the record
+    head.
+    """
+
+    def __init__(self, policy: TabularPolicy, table: EdgeTable):
+        if policy.relations != table.relations:
+            raise ValueError("the edge table was built for other relations")
+        self.policy = policy
+        self.table = table
+        self.answer = policy.answer_probs().tolist()
+        self._think: dict[int, list[float]] = {}
+        self._log_records: dict[tuple[int, tuple[int, ...]], float | None] = {}
+        self._moves: dict[tuple[int, str], list[tuple]] = {}
+
+    def think_probs(self, hop: int) -> list[float]:
+        if hop not in self._think:
+            self._think[hop] = self.policy.think_probs(hop).tolist()
+        return self._think[hop]
+
+    def log_record(self, key: tuple[int, tuple[int, ...]]) -> float | None:
+        """log of the record head's mass on the positions of record key
+        ``key``; None when that mass is 0."""
+        if key not in self._log_records:
+            n_docs, positions = key
+            rec = self.policy.record_probs(n_docs).tolist()
+            mass = sum(rec[j] for j in positions)
+            self._log_records[key] = math.log(mass) if mass > 0.0 else None
+        return self._log_records[key]
+
+    def moves(self, hop: int, entity: str) -> list[tuple]:
+        key = (hop, entity)
+        if key in self._moves:
+            return self._moves[key]
+        probs = self.think_probs(hop)
+        moves = []
+        for idx in range(len(self.table.relations)):
+            if probs[idx] == 0.0:
+                continue
+            log_rel = math.log(probs[idx])
+            for record_key, nxt in self.table.edges(entity, idx):
+                if record_key is None:
+                    moves.append((idx, None, nxt, log_rel))
+                    continue
+                log_mass = self.log_record(record_key)
+                if log_mass is not None:
+                    moves.append((idx, record_key, nxt, log_rel + log_mass))
+        self._moves[key] = moves
+        return moves
+
+
 class Lattice:
     """One example's trajectories under one policy, folded onto states.
 
     The state before hop h is (h, current entity): the question's first
     token at hop 1, then the last evidence, and "" after an empty retrieval.
     The last evidence is "" at hop 1 and the current entity after that. A
-    state's edges are think (relation) x retrieval (through the retriever's
-    cache) x record, where the record head pools the positions that yield
-    the same evidence text; a path ends with STOP at hop h <= budget or by
-    running out of budget, and each end carries the answer head's mass on
-    the gold texts. Branches of probability 0 are pruned as enumeration
-    prunes them, and ``record_probs`` raises UnrealizableTrajectory on the
-    same branches.
+    state's edges are think (relation) x retrieval x record, where the
+    record head pools the positions that yield the same evidence text; they
+    come from ``edges``, an :class:`EdgeTable` weighted by the policy, which
+    also gives the document selection when the agent reranks. A path ends
+    with STOP at hop h <= budget or by running out of budget, and each end
+    carries the answer head's mass on the gold texts. Branches of
+    probability 0 are pruned as enumeration prunes them, and
+    ``record_probs`` raises UnrealizableTrajectory on the same branches.
 
     Construction runs the forward pass: :attr:`log_marginal` is
     log p(gold | x), or LOG_FLOOR when no path reaches a gold answer. The
@@ -521,28 +652,24 @@ class Lattice:
     no signal (:attr:`posterior` is None) when no path reaches a gold answer.
     """
 
-    def __init__(self, policy: TabularPolicy, example: Example,
-                 retriever: Retriever, budget: int, k: int):
-        self.policy = policy
+    def __init__(self, edges: WeightedEdges, example: Example, budget: int):
+        policy = self.policy = edges.policy
         golds = tuple(dict.fromkeys(example.gold_answers))
-        answer = policy.answer_probs().tolist()
+        answer = edges.answer
         # The answer positions yielding a gold answer after each last
         # evidence, and the log of their mass (None when it is 0).
         answers: dict[str, tuple[tuple[int, ...], float | None]] = {}
         stop = len(policy.relations)
-        records: dict[int, list[float]] = {}
         # layers[h - 1] holds (entity, log alpha, log-prob of its gold end or
         # None, answer positions of the end, moves) for every state before
         # hop h, h = 1..budget + 1. The end is STOP then the answer up to the
-        # budget, the answer alone after it. A move is (relation index,
-        # record key, next entity, log-prob); the record key (number of
-        # documents, positions yielding the evidence) is None after an empty
-        # retrieval, which has no record decision.
+        # budget, the answer alone after it; the moves are those of
+        # :class:`WeightedEdges`, none after the budget.
         self.layers: list[list[tuple]] = []
         frontier = {question_start_entity(example.question): 0.0}
         ends: list[float] = []
         for hop in range(1, budget + 2):
-            probs = policy.think_probs(hop).tolist()
+            probs = edges.think_probs(hop)
             incoming: dict[str, list[float]] = {}
             layer = []
             for entity, log_alpha in frontier.items():
@@ -557,28 +684,7 @@ class Lattice:
                     end = math.log(probs[stop]) + end if probs[stop] > 0.0 else None
                 if end is not None:
                     ends.append(log_alpha + end)
-                moves = []
-                for idx, relation in enumerate(policy.relations if hop <= budget else ()):
-                    p_rel = probs[idx]
-                    if p_rel == 0.0:
-                        continue
-                    hits = retriever.search(f"{entity} {relation}", k)
-                    if not hits:
-                        moves.append((idx, None, "", math.log(p_rel)))
-                        continue
-                    docs = retriever.resolve(hits)
-                    if len(docs) not in records:
-                        records[len(docs)] = policy.record_probs(len(docs)).tolist()
-                    rec = records[len(docs)]
-                    positions: dict[str, list[int]] = {}
-                    for j, doc in enumerate(docs):
-                        positions.setdefault(passage_object(doc), []).append(j)
-                    for evidence, js in positions.items():
-                        mass = sum(rec[j] for j in js)
-                        if mass == 0.0:
-                            continue
-                        moves.append((idx, (len(docs), tuple(js)), evidence,
-                                      math.log(p_rel) + math.log(mass)))
+                moves = edges.moves(hop, entity) if hop <= budget else []
                 for _idx, _key, nxt, logp in moves:
                     incoming.setdefault(nxt, []).append(log_alpha + logp)
                 layer.append((entity, log_alpha, end, gold_positions, moves))
@@ -586,7 +692,6 @@ class Lattice:
             frontier = {e: logsumexp(terms) for e, terms in incoming.items()}
         self.log_marginal = logsumexp(ends)
         self.has_signal = bool(ends)
-
     @functools.cached_property
     def posterior(self) -> FactorMass | None:
         """The backward pass: the posterior mass given the gold answers of

@@ -14,10 +14,13 @@ without signal), and one M-step (:func:`m_step_tabular`) and one ELBO
 (:func:`compute_elbo`) run on it. In exact mode the mass is the posterior of
 a forward-backward pass on the policy's (hop, entity)
 :class:`~.policy.Lattice`, which also gives the log-likelihood, so no
-trajectory is enumerated. In sampled mode :func:`e_step` samples episodes
-and weights them per example with a max-subtracted softmax over the raw
-log-weights, and :func:`factor_masses` replays each weighted trajectory once
-into its decision factors.
+trajectory is enumerated. One :class:`~.policy.EdgeTable` per
+:func:`em_train` call holds the lattices' edges, document selection
+included, for every example, iteration and log-likelihood validation; each
+policy weighs it once for all of its lattices. In sampled mode
+:func:`e_step` samples episodes and weights them per example with a
+max-subtracted softmax over the raw log-weights, and :func:`factor_masses`
+replays each weighted trajectory once into its decision factors.
 
 Raw weights come in two families: ``posterior-logprob`` uses the policy's
 own log-likelihood of the gold answer given the trajectory, while the
@@ -42,6 +45,7 @@ from .llm import chat_turns, wire_messages
 from .metrics import accuracy, exact_match, token_f1
 from .policy import (
     LOG_FLOOR,
+    EdgeTable,
     ExpectedCounts,
     FactorMass,
     Lattice,
@@ -321,10 +325,17 @@ def posterior_entropy(weights: Iterable[float]) -> float:
     return float(-sum(w * np.log(w) for w in weights if w > 0.0))
 
 
+def _edge_table(policy: TabularPolicy, retriever: Retriever,
+                agent_config: AgentConfig) -> EdgeTable:
+    """The lattice edges of the episodes ``agent_config`` runs."""
+    return EdgeTable(retriever, policy.relations, agent_config.k,
+                     agent_config.rerank_keep if agent_config.rerank else None)
+
+
 def _lattices(policy: TabularPolicy, examples: Sequence[Example],
-              retriever: Retriever, agent_config: AgentConfig) -> list[Lattice]:
-    return [Lattice(policy, ex, retriever, agent_config.budget, agent_config.k)
-            for ex in examples]
+              table: EdgeTable, budget: int) -> list[Lattice]:
+    edges = table.weigh(policy)
+    return [Lattice(edges, ex, budget) for ex in examples]
 
 
 def _mean_loglik(lattices: Sequence[Lattice]) -> float:
@@ -334,14 +345,16 @@ def _mean_loglik(lattices: Sequence[Lattice]) -> float:
 def mean_train_loglik(policy: TabularPolicy, examples: Sequence[Example],
                       retriever: Retriever, agent_config: AgentConfig) -> float:
     """Mean exact log-marginal of the gold answers, by the lattice's forward pass."""
-    return _mean_loglik(_lattices(policy, examples, retriever, agent_config))
+    return _mean_loglik(_lattices(policy, examples,
+                                  _edge_table(policy, retriever, agent_config),
+                                  agent_config.budget))
 
 
 def _validation_score(policy, examples: Sequence[Example], retriever: Retriever,
                       config: TrainConfig, agent_config: AgentConfig,
-                      seed: int, iteration: int) -> float:
+                      seed: int, iteration: int, table: EdgeTable) -> float:
     if config.validation_metric == "loglik":
-        return mean_train_loglik(policy, examples, retriever, agent_config)
+        return _mean_loglik(_lattices(policy, examples, table, agent_config.budget))
     metric = exact_match if config.validation_metric == "em" else accuracy
     scores = []
     for ex in examples:
@@ -365,7 +378,10 @@ def em_train(examples: Sequence[Example], policy: TabularPolicy,
     the new parameters. Exact mode then builds the lattices under the new
     parameters once: they give ``train_loglik``, the ``loglik`` validation
     score when validation uses the training set, and the next iteration's
-    E-step.
+    E-step. Every lattice of the call, ``loglik`` validation included, takes
+    its edges from one :class:`~.policy.EdgeTable`, so each search the
+    lattices need runs once; the table applies ``agent_config``'s document
+    selection (``rerank``) as episodes do.
 
     Stops early when the validation metric fails to improve by more than
     ``EARLY_STOP_MIN_DELTA`` for ``early_stop_patience`` consecutive
@@ -379,6 +395,7 @@ def em_train(examples: Sequence[Example], policy: TabularPolicy,
         raise ValueError("exact training cannot stop on a repeated sub-query "
                          "(dedup): the lattice's states do not record the path")
     val = list(val_examples) if val_examples is not None else list(examples)
+    table = _edge_table(policy, retriever, agent_config)
     lattices = None
     reports: list[IterationReport] = []
     best: float | None = None
@@ -389,7 +406,7 @@ def em_train(examples: Sequence[Example], policy: TabularPolicy,
         failures = 0
         if exact:
             if lattices is None:
-                lattices = _lattices(policy, examples, retriever, agent_config)
+                lattices = _lattices(policy, examples, table, agent_config.budget)
             masses = [lat.posterior for lat in lattices]
         else:
             batches = e_step(
@@ -400,13 +417,13 @@ def em_train(examples: Sequence[Example], policy: TabularPolicy,
         policy = policy.with_params(m_step_tabular(policy, masses))
         elbo = compute_elbo(policy, masses)
         if exact:
-            lattices = _lattices(policy, examples, retriever, agent_config)
+            lattices = _lattices(policy, examples, table, agent_config.budget)
             train_loglik = _mean_loglik(lattices)
         if exact and val_examples is None and config.validation_metric == "loglik":
             score = train_loglik
         else:
             score = _validation_score(policy, val, retriever, config, agent_config,
-                                      seed, iteration)
+                                      seed, iteration, table)
         reports.append(IterationReport(
             iteration=iteration, train_loglik=train_loglik, elbo=elbo,
             validation_score=score, wall_time=time.perf_counter() - started,

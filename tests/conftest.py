@@ -98,7 +98,8 @@ def chain_following_policy(world, relation_sequence, budget: int, k: int) -> Tab
 
 def exact_posterior_batches(examples, policy: TabularPolicy,
                             retriever: retrieval.Retriever, budget: int,
-                            k: int) -> list[ExampleBatch]:
+                            k: int, rerank_keep: int | None = None
+                            ) -> list[ExampleBatch]:
     """Every trajectory of each example, enumerated and weighted by its exact
     posterior given the gold answers (trajectories of weight 0 left out):
     the enumeration oracle for the lattice's E-step."""
@@ -107,7 +108,7 @@ def exact_posterior_batches(examples, policy: TabularPolicy,
         golds = set(example.gold_answers)
         per_traj: dict[Trajectory, list[float]] = {}
         for trajectory, answer, logp in policy.enumerate_trajectories(
-                example, retriever, budget, k):
+                example, retriever, budget, k, rerank_keep=rerank_keep):
             per_traj.setdefault(trajectory, [])
             if answer in golds:
                 per_traj[trajectory].append(logp)

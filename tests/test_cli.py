@@ -179,6 +179,17 @@ class TestTrainAndAsk:
         assert ((tmp_path / "resumed.json").read_bytes()
                 == (tmp_path / "two.json").read_bytes())
 
+    def test_exact_train_applies_rerank(self, world_dir, tmp_path, capsys):
+        # Keeping one selected document per hop is a different process from
+        # recording among all three retrieved ones, so exact training on it
+        # must learn different parameters.
+        assert self.train(world_dir, tmp_path, "plain", "--mode", "exact") == 0
+        assert self.train(world_dir, tmp_path, "reranked", "--mode", "exact",
+                          "--rerank", "--rerank-keep", "1") == 0
+        capsys.readouterr()
+        assert ((tmp_path / "reranked.json").read_bytes()
+                != (tmp_path / "plain.json").read_bytes())
+
     def test_exact_train_rejects_dedup(self, world_dir, tmp_path, capsys):
         assert self.train(world_dir, tmp_path, "dedup", "--mode", "exact",
                           "--dedup") == 1
@@ -507,6 +518,9 @@ class TestTypedInputErrors:
         pytest.param("agent", {"rerank_keep": True}, "rerank_keep", id="bool-rerank-keep"),
         pytest.param("agent", {"budjet": 2}, "budjet", id="unknown-agent-key"),
         pytest.param("trainer", {"itrations": 2}, "itrations", id="unknown-trainer-key"),
+        pytest.param("retriever", {"index": 3}, "index", id="int-retriever-index"),
+        pytest.param("retriever", {"path": "idx"}, "path", id="unknown-retriever-key"),
+        pytest.param("retriever", "idx", "retriever", id="string-retriever-section"),
     ])
     def test_ill_typed_or_unknown_config_key_exits_1(self, world_dir, tmp_path, capsys,
                                                      section, values, key):
@@ -522,6 +536,26 @@ class TestTypedInputErrors:
         assert err[0].startswith("exsearch: error: UsageError: ")
         assert f"[{section}]" in err[0] and key in err[0]
         assert not params.exists()
+
+    @pytest.mark.parametrize("config, message", [
+        pytest.param({"seed": True}, "seed must be of type int, not True", id="bool-seed"),
+        pytest.param({"seed": 3.0}, "seed must be of type int, not 3.0", id="float-seed"),
+        pytest.param({"seed": "3"}, "seed must be of type int, not '3'", id="string-seed"),
+        pytest.param({"sed": 3}, "unknown top-level config key: sed",
+                     id="unknown-top-level-key"),
+        pytest.param({"retrieval": {"index": "idx"}},
+                     "unknown top-level config key: retrieval", id="misspelt-section"),
+    ])
+    def test_ill_typed_or_unknown_top_level_config_exits_1(self, world_dir, tmp_path,
+                                                           capsys, config, message):
+        path = tmp_path / "engine.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code = main(["synth-world", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and len(err) == 1
+        assert err[0] == f"exsearch: error: UsageError: {message}"
+        assert not out.exists()
 
     @pytest.mark.parametrize("edit, message", [
         pytest.param(lambda llm: llm.update(timeout="3"), "timeout must be a finite number",

@@ -19,6 +19,7 @@ from exsearch.errors import EndpointError, MissingAnnotation, UnrealizableTrajec
 from exsearch.policy import (
     ABSTAIN,
     LOG_FLOOR,
+    EdgeTable,
     ExpectedCounts,
     Lattice,
     TabularPolicy,
@@ -154,7 +155,7 @@ class TestEStep:
         for wt in batch.items:
             assert wt.weight == pytest.approx(0.5, abs=1e-9)
             assert wt.answer == "B"
-        posterior = Lattice(policy, examples[0], retriever, 1, 1).posterior
+        posterior = lattice(policy, examples[0], retriever, 1, 1).posterior
         np.testing.assert_allclose(posterior.think[0], [0.5, 0.5, 0.0], rtol=0, atol=1e-9)
 
     def test_exact_mode_config_raises(self):
@@ -756,6 +757,11 @@ def lattice_rigs(draw):
     return TabularPolicy(params, relations), examples, retriever, budget, k
 
 
+def lattice(policy, example, retriever, budget, k, rerank_keep=None):
+    return Lattice(EdgeTable(retriever, policy.relations, k, rerank_keep).weigh(policy),
+                   example, budget)
+
+
 def summed_counts(policy, masses):
     counts = ExpectedCounts.zeros(policy.params)
     for mass in masses:
@@ -771,17 +777,26 @@ def assert_params_close(a, b, atol=1e-9):
 
 def reference_em(examples, policy, retriever, config, acfg):
     """em_train's exact mode as enumeration, replay and exact marginals."""
+    keep = acfg.rerank_keep if acfg.rerank else None
     reports = []
     for iteration in range(config.iterations):
         masses = factor_masses(policy, exact_posterior_batches(
-            examples, policy, retriever, acfg.budget, acfg.k), retriever)
+            examples, policy, retriever, acfg.budget, acfg.k, keep), retriever)
         policy = policy.with_params(m_step_tabular(policy, masses))
         elbo = compute_elbo(policy, masses)
         loglik = float(np.mean([policy.exact_marginal_set(ex, retriever, acfg.budget,
-                                                          acfg.k)
+                                                          acfg.k, rerank_keep=keep)
                                 for ex in examples]))
         reports.append((iteration, loglik, elbo, loglik))
     return reports, policy.params
+
+
+def rig_config(budget, k, rerank_keep):
+    """A rig's episodes: document selection keeps ``rerank_keep`` (capped at
+    k) documents of each retrieval, or all of them when it is None."""
+    if rerank_keep is None:
+        return AgentConfig(budget=budget, k=k)
+    return AgentConfig(budget=budget, k=k, rerank=True, rerank_keep=min(rerank_keep, k))
 
 
 class TestLatticeOracle:
@@ -789,30 +804,33 @@ class TestLatticeOracle:
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(lattice_rigs())
-    def test_lattice_matches_enumeration(self, rig):
+    @given(lattice_rigs(), st.one_of(st.none(), st.integers(1, 3)))
+    def test_lattice_matches_enumeration(self, rig, keep):
         policy, examples, retriever, budget, k = rig
-        acfg = AgentConfig(budget=budget, k=k)
+        acfg = rig_config(budget, k, keep)
+        keep = acfg.rerank_keep if acfg.rerank else None
         try:
-            marginals = [policy.exact_marginal_set(ex, retriever, budget, k)
+            marginals = [policy.exact_marginal_set(ex, retriever, budget, k,
+                                                   rerank_keep=keep)
                          for ex in examples]
         except UnrealizableTrajectory:
             with pytest.raises(UnrealizableTrajectory):
                 for ex in examples:
-                    Lattice(policy, ex, retriever, budget, k)
+                    lattice(policy, ex, retriever, budget, k, keep)
             return
-        lattices = [Lattice(policy, ex, retriever, budget, k) for ex in examples]
+        lattices = [lattice(policy, ex, retriever, budget, k, keep) for ex in examples]
         for lat, marginal in zip(lattices, marginals):
             assert lat.log_marginal == pytest.approx(marginal, rel=0, abs=1e-9)
         assert mean_train_loglik(policy, examples, retriever, acfg) == pytest.approx(
             float(np.mean(marginals)), rel=0, abs=1e-9)
         for ex in examples:
-            for t, a, logp in policy.enumerate_trajectories(ex, retriever, budget, k):
+            for t, a, logp in policy.enumerate_trajectories(ex, retriever, budget, k,
+                                                            rerank_keep=keep):
                 assert policy.trajectory_log_prob(t, retriever, a) == pytest.approx(
                     logp, rel=0, abs=1e-9)
 
         masses = factor_masses(policy, exact_posterior_batches(
-            examples, policy, retriever, budget, k), retriever)
+            examples, policy, retriever, budget, k, keep), retriever)
         enumerated = summed_counts(policy, masses)
         counts = summed_counts(policy, [lat.posterior for lat in lattices])
         for head in ("think", "record", "answer"):
@@ -836,12 +854,29 @@ class TestLatticeOracle:
             assert elbo == pytest.approx(compute_elbo(scorer, masses),
                                          rel=rel, abs=1e-9)
 
+    def test_rerank_changes_the_lattice(self):
+        # "A r1" retrieves "A r1 B" and "A r2 C" (which shares the title A);
+        # selecting one keeps only the exact fact match, so C is unreachable.
+        world = tiny_world([("A", "r1", "B"), ("A", "r2", "C")], ("r1", "r2"))
+        retriever = world_retriever(world)
+        policy = TabularPolicy(TabularPolicyParams(
+            think_logits=np.array([[0.0, -1e9, -1e9], [0.0, 0.0, 0.0]]),
+            record_logits=np.zeros(2), answer_logits=np.zeros(2)), world.relations)
+        example = Example(id="e", question="A r1", gold_answers=("C",))
+        assert lattice(policy, example, retriever, 1, 2).log_marginal == pytest.approx(
+            math.log(0.25), rel=0, abs=1e-12)
+        reranked = lattice(policy, example, retriever, 1, 2, rerank_keep=1)
+        assert reranked.posterior is None and reranked.log_marginal == LOG_FLOOR
+        assert policy.exact_marginal_set(example, retriever, 1, 2,
+                                         rerank_keep=1) == LOG_FLOOR
+
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(lattice_rigs(), st.integers(1, 3))
-    def test_em_train_matches_reference_loop(self, rig, iterations):
+    @given(lattice_rigs(), st.integers(1, 3),
+           st.one_of(st.none(), st.integers(1, 3)))
+    def test_em_train_matches_reference_loop(self, rig, iterations, keep):
         policy, examples, retriever, budget, k = rig
-        acfg = AgentConfig(budget=budget, k=k)
+        acfg = rig_config(budget, k, keep)
         config = TrainConfig(iterations=iterations, e_step_mode="exact-enumeration",
                              early_stop_patience=0, validation_metric="loglik")
         try:
@@ -885,6 +920,30 @@ class TestExactTraining:
             float(np.mean([trained.exact_marginal_set(ex, retriever, 2, 3)
                            for ex in questions[2:]])), rel=0, abs=1e-9)
         assert calls
+
+    def test_exact_em_train_searches_each_edge_once(self, monkeypatch):
+        # One edge table serves every example, iteration and validation: the
+        # lattices search each (entity, relation) once, whatever the count
+        # of iterations, and every search is a cache miss.
+        calls = []
+        original = Retriever.search
+
+        def counting(self, query, k):
+            calls.append((query, k))
+            return original(self, query, k)
+
+        monkeypatch.setattr(Retriever, "search", counting)
+        searches = {}
+        for iterations in (1, 3):
+            calls.clear()
+            world, questions, retriever = chain_world(seed=1, n_questions=4)
+            config = TrainConfig(iterations=iterations, e_step_mode="exact-enumeration",
+                                 early_stop_patience=0, validation_metric="loglik")
+            em_train(questions[:2], uniform_policy(world, 2, 3), retriever, config,
+                     AgentConfig(budget=2, k=3), val_examples=questions[2:])
+            assert len(calls) == len(retriever.cache)
+            searches[iterations] = len(calls)
+        assert searches[1] == searches[3] > 0
 
     def test_exact_mode_trains_at_budget_six(self):
         # Enumeration would need ((4 + 1) * 3) ** 6 * 2 = 22,781,250 leaves,
