@@ -11,13 +11,22 @@ generations. The wire protocol is the de-facto open chat-completion shape:
     response {"choices": [{"message": {"role", "content"},
                            "logprobs"?: {"content": [{"token", "logprob"}]}}]}
 
-Requests are JSON POSTs to ``<base_url>/chat/completions`` over the standard
-library's :mod:`http.client`. Connections stay open (HTTP/1.1 keep-alive),
-one per request in flight, and are reused by the next request from any
-thread; one the server has closed while idle is reopened before use.
-Proxies come from the environment (``http_proxy``, ``https_proxy``,
-``no_proxy``), resolved once per client; HTTPS is verified against the
-system trust store (``SSL_CERT_FILE``, ``SSL_CERT_DIR``).
+Requests are JSON POSTs to ``<base_url>/chat/completions``. The standard
+library's :mod:`http.client` only opens connections: TCP, TLS verified
+against the system trust store (``SSL_CERT_FILE``, ``SSL_CERT_DIR``) with
+SNI, and the ``CONNECT`` tunnel to an HTTPS endpoint through a proxy. The
+exchange runs here on the open socket: each request goes out in one write,
+byte for byte what ``HTTPConnection.request`` sends, and the reply is read
+from a per-connection buffer. Replies may use ``Content-Length``, chunked
+transfer coding or end at the close of the connection; ``1xx`` replies are
+skipped. Status lines and headers longer than 65,536 bytes, more than 100
+headers, and malformed or truncated replies raise
+:class:`http.client.HTTPException` subclasses, retried like transport errors.
+Connections stay open (HTTP/1.1 keep-alive), one per request in flight, and
+are reused by the next request from any thread; one the server has closed
+while idle, asked to close, or sent more bytes than its reply, is reopened
+before use. Proxies come from the environment (``http_proxy``,
+``https_proxy``, ``no_proxy``), resolved once per client.
 
 A trailing assistant message is treated as a prefix the model continues.
 ``score_completion`` requests per-token log-probabilities of the given text
@@ -174,6 +183,165 @@ class _ConnectFailed(OSError):
     """The connection to the endpoint (or its proxy) could not be opened."""
 
 
+# http.client's limits on a reply: bytes in a line, header lines per reply
+_MAXLINE = 65536
+_MAXHEADERS = 100
+_CONTROL_RE = re.compile(r"[\x00-\x1f\x7f]")
+
+
+def _header_value(value: str) -> bytes:
+    """A request header's value on the wire; ValueError (as
+    ``HTTPConnection.putheader`` raises) when it cannot be sent as is."""
+    if _CONTROL_RE.search(value):
+        raise ValueError(f"header value {value!r} holds a control character")
+    return value.encode("latin-1")
+
+
+def _host_header(host: str, port: int | None, default_port: int) -> bytes:
+    """The Host header ``http.client`` sends for ``host`` and ``port``; a
+    port of None means ``host`` is a URL's netloc, sent as written."""
+    try:
+        name = host.encode("ascii")
+    except UnicodeEncodeError:
+        name = host.encode("idna")
+    if port is not None and ":" in host:
+        name = b"[" + name + b"]"
+    if name.startswith(b"["):  # an IPv6 literal loses its zone
+        name, zone, _ = name.partition(b"%")
+        if zone:
+            name += b"]"
+    if port is None or port == default_port:
+        return name
+    return b"%s:%d" % (name, port)
+
+
+class _Connection:
+    """One kept-alive connection. ``http`` (an ``HTTPConnection``) opens the
+    socket; requests and replies go over ``sock`` here. ``buffer`` holds the
+    bytes received but not yet parsed: it exists while the socket does."""
+
+    __slots__ = ("http", "sock", "buffer")
+
+    def __init__(self, conn: http.client.HTTPConnection):
+        self.http = conn
+        self.sock: socket.socket | None = None
+        self.buffer: bytearray | None = None
+
+    def open(self) -> None:
+        self.http.connect()
+        self.sock = self.http.sock
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.buffer = bytearray()
+
+    def close(self) -> None:
+        self.sock = self.buffer = None
+        self.http.close()
+
+    def _fill(self) -> bool:
+        """Receive what the peer has sent; False at the end of the stream."""
+        data = self.sock.recv(65536)
+        self.buffer += data
+        return bool(data)
+
+    def _line(self, what: str) -> bytes:
+        """The next line with its ending; at the end of the stream, what is
+        left (b"" when nothing is)."""
+        buffer = self.buffer
+        start = 0
+        while (end := buffer.find(b"\n", start)) < 0:
+            if len(buffer) > _MAXLINE:
+                raise http.client.LineTooLong(what)
+            start = len(buffer)
+            if not self._fill():
+                line = bytes(buffer)
+                buffer.clear()
+                return line
+        if end >= _MAXLINE:
+            raise http.client.LineTooLong(what)
+        line = bytes(buffer[:end + 1])
+        del buffer[:end + 1]
+        return line
+
+    def _take(self, n: int) -> bytes:
+        buffer = self.buffer
+        while len(buffer) < n:
+            if not self._fill():
+                raise http.client.IncompleteRead(bytes(buffer), n - len(buffer))
+        data = bytes(buffer[:n])
+        del buffer[:n]
+        return data
+
+    def _read_head(self) -> tuple[bytes, int, dict[bytes, bytes]]:
+        """A reply's version, status and headers (names lower-cased; the
+        first of repeated ones)."""
+        line = self._line("status line")
+        if not line:
+            raise http.client.RemoteDisconnected(
+                "Remote end closed connection without response")
+        parts = line.split(None, 2)
+        if (len(parts) < 2 or not parts[0].startswith(b"HTTP/")
+                or len(parts[1]) != 3 or not parts[1].isdigit()):
+            raise http.client.BadStatusLine(line.decode("latin-1"))
+        headers: dict[bytes, bytes] = {}
+        lines = 0
+        while (header := self._line("header line")) not in (b"\r\n", b"\n", b""):
+            lines += 1
+            if lines > _MAXHEADERS:
+                raise http.client.HTTPException(f"got more than {_MAXHEADERS} headers")
+            name, colon, value = header.partition(b":")
+            if colon:
+                headers.setdefault(name.strip().lower(), value.strip())
+        return parts[0], int(parts[1]), headers
+
+    def _chunked(self) -> bytes:
+        chunks = []
+        while True:
+            size = self._line("chunk size").partition(b";")[0]
+            try:
+                n = int(size, 16)
+            except ValueError:
+                n = -1
+            if n < 0:
+                raise http.client.IncompleteRead(b"".join(chunks))
+            if n == 0:
+                break
+            chunks.append(self._take(n))
+            self._take(2)  # the chunk's CRLF
+        while self._line("trailer line") not in (b"\r\n", b"\n", b""):
+            pass
+        return b"".join(chunks)
+
+    def exchange(self, request: bytes) -> tuple[int, bytes]:
+        """Send ``request`` in one write and read its reply: the status and
+        the body. The connection is closed after a reply that ends it and
+        when bytes beyond the reply have arrived."""
+        self.sock.sendall(request)
+        version, status, headers = self._read_head()
+        while 100 <= status < 200:
+            version, status, headers = self._read_head()
+        tokens = headers.get(b"connection", b"").lower()
+        if version in (b"HTTP/1.0", b"HTTP/0.9"):
+            close = b"keep-alive" not in tokens and b"keep-alive" not in headers
+        elif version.startswith(b"HTTP/1."):
+            close = b"close" in tokens
+        else:
+            raise http.client.UnknownProtocol(version.decode("latin-1"))
+        length = headers.get(b"content-length", b"")
+        if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+            body = self._chunked()
+        elif status in (204, 304):
+            body = b""
+        elif length.isdigit():
+            body = self._take(int(length))
+        else:  # the body ends with the connection
+            while self._fill():
+                pass
+            body, close = bytes(self.buffer), True
+        if close or self.buffer:
+            self.close()
+        return status, body
+
+
 def _dropped(sock: socket.socket) -> bool:
     """Whether an idle kept-alive socket is readable: the server has closed
     it (or sent bytes no request asked for), so it must not be reused."""
@@ -184,7 +352,7 @@ def _dropped(sock: socket.socket) -> bool:
     return bool(select.select([sock], [], [], 0)[0])
 
 
-def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+def _close_all(connections: list[_Connection]) -> None:
     while connections:
         connections.pop().close()
 
@@ -235,17 +403,31 @@ class HttpChatClient:
         self.config = config
         url = urllib.parse.urlsplit(f"{config.base_url.rstrip('/')}/chat/completions")
         origin = url.netloc.rpartition("@")[2]
-        self._address = (url.hostname, url.port or (443 if url.scheme == "https" else 80))
-        self._path = urllib.parse.quote(url.path + (f"?{url.query}" if url.query else ""),
-                                        safe="!#$%&'()*+,/:;=?@[]~")
+        default_port = 443 if url.scheme == "https" else 80
+        self._address = (url.hostname, url.port or default_port)
+        path = urllib.parse.quote(url.path + (f"?{url.query}" if url.query else ""),
+                                  safe="!#$%&'()*+,/:;=?@[]~")
         self._tls = ssl.create_default_context() if url.scheme == "https" else None
         self._proxy, self._proxy_headers = _environment_proxy(url.scheme, origin)
+        self._peer = self._proxy or self._address  # where connections go
+        headers = {"Content-Type": "application/json"}
+        if self._tls is None:
+            headers.update(self._proxy_headers)
         if self._proxy is not None and self._tls is None:
             # A plain-HTTP proxy takes the full URL in the request line.
-            self._path = f"http://{origin}{self._path}"
-        self._peer = self._proxy or self._address  # where connections go
+            path = f"http://{origin}{path}"
+            host = _host_header(origin, None, default_port)
+        else:
+            host = _host_header(*self._address, default_port)
+        # A request's bytes, as HTTPConnection.request orders them: the
+        # Content-Length and Authorization values go between these two parts.
+        self._request_head = (f"POST {path} HTTP/1.1\r\nHost: ".encode("ascii") + host
+                              + b"\r\nAccept-Encoding: identity\r\nContent-Length: ")
+        self._request_tail = b"".join(
+            b"\r\n%s: %s" % (name.encode("ascii"), _header_value(value))
+            for name, value in headers.items()) + b"\r\n\r\n"
         # At most parallelism_cap connections exist: one per request in flight.
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list[_Connection] = []
         weakref.finalize(self, _close_all, self._idle)
         self._slots = threading.BoundedSemaphore(config.parallelism_cap)
         self._probe_lock = threading.Lock()
@@ -261,27 +443,28 @@ class HttpChatClient:
                 f"environment variable {self.config.api_key_env} is not set")
         return key
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> _Connection:
         """An idle connection, closed first if the server dropped it, or a
         new one. ``list.pop`` is atomic, so threads never share one."""
         try:
             conn = self._idle.pop()
         except IndexError:
             if self._tls is None:
-                return http.client.HTTPConnection(*self._peer, timeout=self.config.timeout)
-            conn = http.client.HTTPSConnection(*self._peer, timeout=self.config.timeout,
-                                               context=self._tls)
+                return _Connection(http.client.HTTPConnection(
+                    *self._peer, timeout=self.config.timeout))
+            https = http.client.HTTPSConnection(*self._peer, timeout=self.config.timeout,
+                                                context=self._tls)
             if self._proxy is not None:
-                conn.set_tunnel(*self._address, headers=self._proxy_headers)
-            return conn
+                https.set_tunnel(*self._address, headers=self._proxy_headers)
+            return _Connection(https)
         if conn.sock is not None and _dropped(conn.sock):
             conn.close()
         return conn
 
-    def _send(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+    def _send(self, request: bytes) -> tuple[int, bytes]:
         """One POST over a kept-alive connection: the status and the body.
 
-        The connection is closed after any error and after a response that
+        The connection is closed after any error and after a reply that
         ends it, and goes back to the idle list either way (a closed one
         reconnects when next used); a connection that cannot be opened
         raises _ConnectFailed.
@@ -290,18 +473,13 @@ class HttpChatClient:
         try:
             if conn.sock is None:
                 try:
-                    conn.connect()
+                    conn.open()
                 except TimeoutError:
                     raise
                 except OSError as exc:
                     host, port = self._peer
                     raise _ConnectFailed(f"cannot connect to {host}:{port}: {exc}") from exc
-            conn.request("POST", self._path, body, headers)
-            response = conn.getresponse()
-            data = response.read()
-            if response.will_close:
-                conn.close()
-            return response.status, data
+            return conn.exchange(request)
         except BaseException:
             conn.close()
             raise
@@ -311,11 +489,10 @@ class HttpChatClient:
     def _request(self, payload: dict) -> dict:
         if self._unreachable is not None:
             raise EndpointError(f"endpoint unreachable: {self._unreachable}")
-        headers = {"Authorization": f"Bearer {self._api_key()}",
-                   "Content-Type": "application/json"}
-        if self._tls is None:
-            headers.update(self._proxy_headers)
+        authorization = _header_value(f"Bearer {self._api_key()}")
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        request = b"%s%d\r\nAuthorization: %s%s%s" % (
+            self._request_head, len(body), authorization, self._request_tail, body)
         attempts = self.config.max_retries + 1
         last_error: Exception | None = None
         timed_out = False
@@ -325,7 +502,7 @@ class HttpChatClient:
                 time.sleep(delay * (1.0 + 0.1 * random.random()))
             try:
                 with self._slots:
-                    status, data = self._send(body, headers)
+                    status, data = self._send(request)
             except TimeoutError as exc:
                 last_error, timed_out = exc, True
                 continue

@@ -485,13 +485,19 @@ class FactorMass:
     def zeros(cls, params: TabularPolicyParams) -> "FactorMass":
         return cls(np.zeros_like(params.think_logits))
 
+    def _record_probs(self, policy: TabularPolicy) -> dict[int, np.ndarray]:
+        """The record head's probabilities for each number of documents
+        among this mass's record factors, each computed once."""
+        return {n_docs: policy.record_probs(n_docs) for n_docs in {n for n, _ in self.record}}
+
     def counts(self, policy: TabularPolicy) -> ExpectedCounts:
         """Expected counts of every head. Record and answer counts are split
         within a factor in proportion to ``policy``'s probabilities."""
         counts = ExpectedCounts.zeros(policy.params)
         counts.think += self.think
+        record = self._record_probs(policy)
         for (n_docs, positions), q in self.record.items():
-            add_split(counts.record, policy.record_probs(n_docs), positions, q)
+            add_split(counts.record, record[n_docs], positions, q)
         answer = policy.answer_probs()
         for positions, q in self.answer.items():
             add_split(counts.answer, answer, positions, q)
@@ -506,9 +512,9 @@ class FactorMass:
             for col in np.flatnonzero(self.think[row]):
                 p = probs[col]
                 total += self.think[row, col] * (math.log(p) if p > 0.0 else LOG_FLOOR)
+        record = self._record_probs(policy)
         for (n_docs, positions), q in self.record.items():
-            rec = policy.record_probs(n_docs)
-            mass = sum(rec[j] for j in positions)
+            mass = sum(record[n_docs][j] for j in positions)
             total += q * (math.log(mass) if mass > 0.0 else LOG_FLOOR)
         answer = policy.answer_probs()
         for positions, q in self.answer.items():

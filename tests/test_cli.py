@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import json
 import subprocess
@@ -323,6 +324,33 @@ class TestPipelineComposition:
         correct = sum(1 for rec in records
                       if rec["answer"] == golds[rec["id"].rsplit("/", 1)[0]])
         assert correct == len(records)
+
+    def test_explore_jobs_agree_over_shared_kept_alive_connections(self, tmp_path, capsys):
+        """Workers share the client's kept-alive connections, and the stub
+        serves their requests at once: --jobs 4 writes what --jobs 1 does."""
+        out, index_dir = tmp_path / "world", tmp_path / "idx"
+        assert main(["synth-world", "--entities", "15", "--relations", "2",
+                     "--hops", "2", "--density", "1.0", "--questions", "6",
+                     "--seed", "4", "--out", str(out)]) == 0
+        assert main(["ingest", "--corpus", str(out / "corpus.jsonl"),
+                     "--index", str(index_dir)]) == 0
+        server = StubChatServer(ChainOracleBehavior())  # it keeps no state
+        server._server.RequestHandlerClass.protocol_version = "HTTP/1.1"
+        server._lock = contextlib.nullcontext()
+        with server:
+            config = tmp_path / "engine.json"
+            config.write_text(json.dumps({
+                "llm": {"base_url": server.base_url, "model_name": "stub",
+                        "backoff_base": 0.01},
+                "retriever": {"index": str(index_dir)}}))
+            for jobs in ("1", "4"):
+                assert main(["explore", "--examples", str(out / "examples.jsonl"),
+                             "--policy", "llm", "--config", str(config),
+                             "--samples", "2", "--budget", "3", "--jobs", jobs,
+                             "--out", str(tmp_path / f"trajs{jobs}.jsonl")]) == 0
+        capsys.readouterr()
+        assert ((tmp_path / "trajs4.jsonl").read_bytes()
+                == (tmp_path / "trajs1.jsonl").read_bytes())
 
 
     def test_sft_records_carry_the_policys_prompt(self, tmp_path, capsys):
