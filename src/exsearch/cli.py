@@ -26,6 +26,7 @@ import csv
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 from . import agent, llm, metrics, retrieval, synth, training, trajectory
@@ -49,37 +50,38 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-# The top-level keys of a config file, the keys of its typed sections and
-# their types: a bool must be a boolean and an int an integer that is not a
-# boolean. The [llm] section's keys are checked by _endpoint_config. A
+# The keys of each config section and, where checked here, their types: a
+# bool must be a boolean and an int an integer that is not a boolean. [agent],
+# [trainer] and [llm] hold the fields of the settings they fill; --mode sets
+# [trainer]'s e_step_mode, and EndpointConfig checks its own values. A
 # [retriever] k is read by nothing (the retrieval size is [agent] k or --k);
 # it stays accepted because perfbench's llm_pipeline config still sets it.
-_TOP_LEVEL_KEYS = ("seed", "retriever", "agent", "trainer", "llm")
 _SECTION_TYPES = {
     "retriever": {"index": str, "k": int},
-    "agent": {"budget": int, "k": int, "rerank": bool, "rerank_keep": int,
-              "dedup_subqueries": bool},
-    "trainer": {"iterations": int, "samples_per_example": int, "weight_mode": str,
-                "early_stop_patience": int, "validation_metric": str},
+    "agent": typing.get_type_hints(agent.AgentConfig),
+    "trainer": {key: kind for key, kind in
+                typing.get_type_hints(training.TrainConfig).items() if key != "e_step_mode"},
+    "llm": dict.fromkeys(f.name for f in dataclasses.fields(llm.EndpointConfig)),
 }
 
 
 def _check_sections(config) -> None:
     if not isinstance(config, dict):
         raise UsageError("a config file must hold a table of sections")
-    for key in config:
-        if key not in _TOP_LEVEL_KEYS:
-            raise UsageError(f"unknown top-level config key: {key}")
-    if "seed" in config and type(config["seed"]) is not int:
-        raise UsageError(f"seed must be of type int, not {config['seed']!r}")
-    for section, types in _SECTION_TYPES.items():
-        values = config.get(section, {})
+    for section, values in config.items():
+        if section == "seed":
+            if type(values) is not int:
+                raise UsageError(f"seed must be of type int, not {values!r}")
+            continue
+        if section not in _SECTION_TYPES:
+            raise UsageError(f"unknown top-level config key: {section}")
         if not isinstance(values, dict):
             raise UsageError(f"the [{section}] config section must be a table")
+        types = _SECTION_TYPES[section]
         for key, value in values.items():
             if key not in types:
                 raise UsageError(f"unknown key in the [{section}] config section: {key}")
-            if type(value) is not types[key]:
+            if types[key] is not None and type(value) is not types[key]:
                 raise UsageError(f"[{section}] {key} must be of type "
                                  f"{types[key].__name__}, not {value!r}")
 
@@ -102,22 +104,20 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _pick(flag_value, config: dict, section: str, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    return config.get(section, {}).get(key, default)
+def _settings(cls, args, section: dict, **command_defaults):
+    """Build the settings dataclass ``cls``; later layers override earlier
+    ones: its field defaults, ``command_defaults``, the config ``section``,
+    then each flag whose dest is a field name."""
+    values = {**command_defaults, **section}
+    for field in dataclasses.fields(cls):
+        flag = getattr(args, field.name, None)
+        if flag is not None:
+            values[field.name] = flag
+    return cls(**values)
 
 
 def _agent_config(args, config: dict) -> agent.AgentConfig:
-    return agent.AgentConfig(
-        budget=_pick(getattr(args, "budget", None), config, "agent", "budget", 5),
-        k=_pick(getattr(args, "k", None), config, "agent", "k", 5),
-        rerank=_pick(getattr(args, "rerank", None), config, "agent", "rerank", False),
-        rerank_keep=_pick(getattr(args, "rerank_keep", None), config, "agent",
-                          "rerank_keep", 3),
-        dedup_subqueries=_pick(getattr(args, "dedup", None), config, "agent",
-                               "dedup_subqueries", False),
-    )
+    return _settings(agent.AgentConfig, args, config.get("agent", {}))
 
 
 def _seed(args, config: dict) -> int:
@@ -131,15 +131,13 @@ def _endpoint_config(config: dict) -> llm.EndpointConfig:
     if not section or "base_url" not in section or "model_name" not in section:
         raise UsageError("--policy llm needs a config file with an [llm] section "
                          "providing base_url and model_name")
-    unknown = set(section) - {f.name for f in dataclasses.fields(llm.EndpointConfig)}
-    if unknown:
-        raise UsageError(f"unknown key(s) in the [llm] config section: "
-                         f"{', '.join(sorted(unknown))}")
     return llm.EndpointConfig(**section)
 
 
 def _load_retriever(args, config: dict) -> retrieval.Retriever:
-    index_path = _pick(getattr(args, "index", None), config, "retriever", "index", None)
+    index_path = getattr(args, "index", None)
+    if index_path is None:
+        index_path = config.get("retriever", {}).get("index")
     if index_path:
         return retrieval.Retriever(retrieval.load_index(index_path))
     world_path = getattr(args, "world", None)
@@ -245,16 +243,18 @@ def cmd_explore(args, config: dict) -> int:
     return EXIT_OK
 
 
-def _group_by_example(records, examples):
+def _group_by_example(pairs, examples):
+    """Examples by id, and per example id its ``(sample, record id, item)``
+    triples from the ``(record id, item)`` pairs, in sample order."""
     by_id = {ex.id: ex for ex in examples}
     groups: dict[str, list] = {ex.id: [] for ex in examples}
-    for rec in records:
-        ex_id, sample = rec_id_parts(rec[0] if isinstance(rec, tuple) else rec.id)
+    for rec_id, item in pairs:
+        ex_id, sample = rec_id_parts(rec_id)
         if ex_id not in by_id:
             raise UnknownId(f"trajectory references unknown example id {ex_id!r}")
-        groups[ex_id].append((sample, rec))
-    for ex_id in groups:
-        groups[ex_id].sort(key=lambda item: item[0])
+        groups[ex_id].append((sample, rec_id, item))
+    for group in groups.values():
+        group.sort(key=lambda entry: entry[0])
     return by_id, groups
 
 
@@ -273,7 +273,7 @@ def rec_id_parts(record_id: str) -> tuple[str, int]:
 def cmd_weigh(args, config: dict) -> int:
     examples = trajectory.read_examples_jsonl(args.examples)
     records = trajectory.read_trajectories_jsonl(args.trajectories)
-    by_id, groups = _group_by_example(records, examples)
+    by_id, groups = _group_by_example(((rec.id, rec) for rec in records), examples)
 
     policy = None
     if args.mode == "posterior-logprob":
@@ -283,9 +283,9 @@ def cmd_weigh(args, config: dict) -> int:
     for ex_id, group in groups.items():
         if not group:
             continue
-        samples = [(rec.trajectory, rec.answer or "") for _sample, rec in group]
+        samples = [(rec.trajectory, rec.answer or "") for _s, _rid, rec in group]
         batch = training.weigh(by_id[ex_id], samples, args.mode, policy)
-        out_items += [(rec.id, wt) for (_sample, rec), wt in zip(group, batch.items)]
+        out_items += [(rid, wt) for (_s, rid, _rec), wt in zip(group, batch.items)]
     n = trajectory.write_weighted_jsonl(args.out, out_items)
     _emit(args, f"weighted {n} trajectories ({args.mode}) -> {args.out}",
           {"weighted": n, "mode": args.mode, "out": str(args.out)})
@@ -299,19 +299,10 @@ def cmd_train(args, config: dict) -> int:
     val = trajectory.read_examples_jsonl(args.val) if args.val else None
     agent_config = _agent_config(args, config)
 
-    train_config = training.TrainConfig(
-        iterations=_pick(args.iterations, config, "trainer", "iterations", 5),
-        samples_per_example=_pick(args.samples, config, "trainer",
-                                  "samples_per_example", 2),
-        weight_mode=_pick(args.weight_mode, config, "trainer", "weight_mode",
-                          "posterior-logprob"),
-        e_step_mode=("exact-enumeration" if args.mode == "exact" else "sampled"),
-        early_stop_patience=_pick(args.patience, config, "trainer",
-                                  "early_stop_patience", 1),
-        validation_metric=_pick(args.val_metric, config, "trainer",
-                                "validation_metric",
-                                "loglik" if args.mode == "exact" else "em"),
-    )
+    exact = args.mode == "exact"
+    train_config = _settings(training.TrainConfig, args, config.get("trainer", {}),
+                             e_step_mode="exact-enumeration" if exact else "sampled",
+                             validation_metric="loglik" if exact else "em")
     if args.params_in:
         params = TabularPolicyParams.load(args.params_in)
     else:
@@ -394,12 +385,10 @@ def cmd_export_sft(args, config: dict) -> int:
     examples = trajectory.read_examples_jsonl(args.examples)
     weighted = trajectory.read_weighted_jsonl(args.weighted)
     by_id, groups = _group_by_example(weighted, examples)
-    batches = []
-    for ex_id, group in groups.items():
-        if group:
-            batches.append(training.ExampleBatch(
-                example=by_id[ex_id], items=[wt for _s, (_rid, wt) in group]))
-    n = training.export_weighted_sft(batches, args.out)
+    # by (example id, sample index), each under its weighted record's id
+    rows = [training.sft_record(rid, by_id[ex_id], wt)
+            for ex_id in sorted(groups) for _s, rid, wt in groups[ex_id]]
+    n = trajectory.write_jsonl(args.out, rows)
     _emit(args, f"exported {n} weighted records -> {args.out}",
           {"exported": n, "out": str(args.out)})
     return EXIT_OK
@@ -408,7 +397,7 @@ def cmd_export_sft(args, config: dict) -> int:
 def cmd_warmup_format(args, config: dict) -> int:
     examples = trajectory.read_examples_jsonl(args.examples)
     retriever = _load_retriever(args, config)
-    records = training.warmup_format(examples, retriever, args.k or 5)
+    records = training.warmup_format(examples, retriever, args.k)
     n = trajectory.write_jsonl(args.out, records)
     _emit(args, f"formatted {n} warm-up transcripts -> {args.out}",
           {"formatted": n, "out": str(args.out)})
@@ -432,7 +421,7 @@ def _add_agent_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=None, help="retrieval size per hop")
     p.add_argument("--rerank", action="store_true", default=None)
     p.add_argument("--rerank-keep", dest="rerank_keep", type=int, default=None)
-    p.add_argument("--dedup", action="store_true", default=None,
+    p.add_argument("--dedup", dest="dedup_subqueries", action="store_true", default=None,
                    help="terminate on exact-repeat sub-queries")
 
 
@@ -505,9 +494,9 @@ def build_parser() -> _Parser:
     p.add_argument("--weight-mode", dest="weight_mode", default=None,
                    choices=trajectory.WEIGHT_MODES)
     p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--val-metric", dest="val_metric", default=None,
+    p.add_argument("--samples", dest="samples_per_example", type=int, default=None)
+    p.add_argument("--patience", dest="early_stop_patience", type=int, default=None)
+    p.add_argument("--val-metric", dest="validation_metric", default=None,
                    choices=training.VALIDATION_METRICS)
     p.add_argument("--params-in", dest="params_in")
     p.add_argument("--params-out", dest="params_out", required=True)

@@ -453,11 +453,10 @@ def write_history_csv(path, reports: Sequence[IterationReport]) -> None:
                 repr(r.elbo), repr(r.validation_score), repr(r.wall_time)])
 
 
-def sft_record(example_id: str, sample_index: int, example: Example,
-               wt: WeightedTrajectory) -> dict:
+def sft_record(record_id: str, example: Example, wt: WeightedTrajectory) -> dict:
     golds = list(example.gold_answers)
     return {
-        "id": f"{example_id}/{sample_index}",
+        "id": record_id,
         "messages": wire_messages(chat_turns(
             example.question, render_transcript(wt.trajectory, wt.answer))),
         "answer": wt.answer,
@@ -480,7 +479,7 @@ def export_weighted_sft(batches: Sequence[ExampleBatch], path) -> int:
     rows = []
     for batch in sorted(batches, key=lambda b: b.example.id):
         for i, wt in enumerate(batch.items):
-            rows.append(sft_record(batch.example.id, i, batch.example, wt))
+            rows.append(sft_record(f"{batch.example.id}/{i}", batch.example, wt))
     return write_jsonl(path, rows)
 
 

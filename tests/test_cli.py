@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,8 +9,9 @@ import zlib
 
 import pytest
 
-from exsearch import synth, trajectory
-from exsearch.cli import main
+from exsearch import synth, training, trajectory
+from exsearch.agent import AgentConfig
+from exsearch.cli import build_parser, main
 from exsearch.policy import TabularPolicyParams
 from exsearch.retrieval import INDEX_FILENAME, INDEX_MAGIC
 from exsearch.stub import ChainOracleBehavior, StubChatServer
@@ -198,6 +201,27 @@ class TestTrainAndAsk:
         assert err.startswith("exsearch: error: ValueError: ") and "dedup" in err
         assert not (tmp_path / "dedup.json").exists()
 
+    def test_toml_config_trains_as_json_and_flags_do(self, world_dir, tmp_path, capsys):
+        pytest.importorskip("tomllib")
+        (tmp_path / "engine.toml").write_text(
+            "[agent]\nbudget = 2\nk = 3\nrerank = true\nrerank_keep = 2\n\n"
+            "[trainer]\niterations = 3\nearly_stop_patience = 0\n")
+        (tmp_path / "engine.json").write_text(json.dumps({
+            "agent": {"budget": 2, "k": 3, "rerank": True, "rerank_keep": 2},
+            "trainer": {"iterations": 3, "early_stop_patience": 0}}))
+        runs = {"toml": ["--config", str(tmp_path / "engine.toml")],
+                "json": ["--config", str(tmp_path / "engine.json")],
+                "flags": ["--budget", "2", "--k", "3", "--rerank", "--rerank-keep", "2",
+                          "--iterations", "3", "--patience", "0"]}
+        for name, flags in runs.items():
+            assert main(["train", "--world", str(world_dir / "world.json"),
+                         "--examples", str(world_dir / "examples.jsonl"),
+                         "--params-out", str(tmp_path / f"{name}.json"),
+                         "--history", str(tmp_path / f"{name}.csv"), *flags]) == 0
+        capsys.readouterr()
+        params = {name: (tmp_path / f"{name}.json").read_bytes() for name in runs}
+        assert params["toml"] == params["json"] == params["flags"]
+
     def test_ask_with_scripted_llm_stub_matches_fixture(self, tmp_path, capsys,
                                                         monkeypatch):
         corpus = tmp_path / "corpus.jsonl"
@@ -260,6 +284,24 @@ class TestWeighAndEval:
         assert raws == [1.0, 0.0]
         from exsearch.policy import softmax
         assert weights == pytest.approx(list(softmax([1.0, 0.0])))
+
+    def test_export_sft_keeps_weighted_record_ids(self, tmp_path, capsys):
+        examples = [trajectory.Example(id=f"e{i}", question="q", gold_answers=("four",))
+                    for i in (1, 2)]
+        trajectory.write_examples_jsonl(tmp_path / "ex.jsonl", examples)
+        t = trajectory.Trajectory(question="q", steps=(), terminated=True, budget=1)
+        records = [trajectory.TrajectoryRecord(id=rec_id, trajectory=t, answer="four")
+                   for rec_id in ("e2/0", "e1/3", "e1/1")]
+        trajectory.write_trajectories_jsonl(tmp_path / "trajs.jsonl", records)
+        assert main(["weigh", "--trajectories", str(tmp_path / "trajs.jsonl"),
+                     "--examples", str(tmp_path / "ex.jsonl"),
+                     "--mode", "reward-em", "--out", str(tmp_path / "w.jsonl")]) == 0
+        assert main(["export-sft", "--weighted", str(tmp_path / "w.jsonl"),
+                     "--examples", str(tmp_path / "ex.jsonl"),
+                     "--out", str(tmp_path / "sft.jsonl")]) == 0
+        capsys.readouterr()
+        sft = [json.loads(line) for line in (tmp_path / "sft.jsonl").read_text().splitlines()]
+        assert [rec["id"] for rec in sft] == ["e1/1", "e1/3", "e2/0"]
 
     def test_eval_all_correct_fixture(self, tmp_path, capsys):
         examples = [trajectory.Example(id=f"e{i}", question="q",
@@ -432,6 +474,16 @@ class TestWarmupCommand:
         for rec in records:
             assert [m["role"] for m in rec["messages"]] == ["system", "user", "assistant"]
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_warmup_format_k_below_1_exits_1(self, world_dir, tmp_path, capsys, k):
+        out = tmp_path / "warm.jsonl"
+        code = main(["warmup-format", "--examples", str(world_dir / "examples.jsonl"),
+                     "--world", str(world_dir / "world.json"), "--k", k, "--out", str(out)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert err == ["exsearch: error: ValueError: k must be >= 1"]
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_unreachable_endpoint_exits_3(self, tmp_path):
@@ -549,6 +601,12 @@ class TestTypedInputErrors:
         pytest.param("retriever", {"index": 3}, "index", id="int-retriever-index"),
         pytest.param("retriever", {"path": "idx"}, "path", id="unknown-retriever-key"),
         pytest.param("retriever", "idx", "retriever", id="string-retriever-section"),
+        pytest.param("agent", 3, "agent", id="int-agent-section"),
+        pytest.param("trainer", {"e_step_mode": "sampled"}, "e_step_mode",
+                     id="trainer-e-step-mode"),
+        pytest.param("llm", {"base_url": "http://127.0.0.1:9", "model_name": "stub",
+                             "tmeout": 3}, "tmeout", id="unknown-llm-key-on-train"),
+        pytest.param("llm", ["base_url", "model_name"], "llm", id="list-llm-section"),
     ])
     def test_ill_typed_or_unknown_config_key_exits_1(self, world_dir, tmp_path, capsys,
                                                      section, values, key):
@@ -573,6 +631,11 @@ class TestTypedInputErrors:
                      id="unknown-top-level-key"),
         pytest.param({"retrieval": {"index": "idx"}},
                      "unknown top-level config key: retrieval", id="misspelt-section"),
+        pytest.param({"llm": {"base_url": "http://127.0.0.1:9", "model_name": "stub",
+                              "tmeout": 3}},
+                     "unknown key in the [llm] config section: tmeout", id="unknown-llm-key"),
+        pytest.param({"trainer": "fast"}, "the [trainer] config section must be a table",
+                     id="string-trainer-section"),
     ])
     def test_ill_typed_or_unknown_top_level_config_exits_1(self, world_dir, tmp_path,
                                                            capsys, config, message):
@@ -584,6 +647,17 @@ class TestTypedInputErrors:
         assert code == 1 and len(err) == 1
         assert err[0] == f"exsearch: error: UsageError: {message}"
         assert not out.exists()
+
+    @pytest.mark.parametrize("section", [3, ["base_url", "model_name"],
+                                         "base_url model_name"],
+                             ids=["int", "list", "string"])
+    def test_llm_section_that_is_not_a_table_exits_1(self, world_dir, tmp_path, section):
+        config = tmp_path / "engine.json"
+        config.write_text(json.dumps({"llm": section}))
+        result = run_cli("ask", "--question", "q", "--policy", "llm",
+                         "--config", str(config), "--world", str(world_dir / "world.json"))
+        line = self._error_line(result, 1)
+        assert line.startswith("exsearch: error: UsageError: ") and "[llm]" in line
 
     @pytest.mark.parametrize("edit, message", [
         pytest.param(lambda llm: llm.update(timeout="3"), "timeout must be a finite number",
@@ -641,6 +715,61 @@ class TestTypedInputErrors:
         line = self._error_line(result, 2)
         assert line.startswith(f"exsearch: error: MalformedFile: {bad}: ")
         assert message in line
+
+
+# (config section, field) for every setting train reads from a config file
+_TRAIN_SETTINGS = ([("agent", f.name) for f in dataclasses.fields(AgentConfig)]
+                   + [("trainer", f.name) for f in dataclasses.fields(training.TrainConfig)
+                      if f.name != "e_step_mode"])
+
+
+class TestSettingsLayers:
+    """Each agent and trainer setting has a train flag whose dest is its
+    name; its config value is used when the flag is absent, and the flag wins."""
+
+    @staticmethod
+    def _train_settings(monkeypatch, world_dir, tmp_path, config, *flags) -> dict:
+        seen = {}
+
+        def em_train(examples, policy, retriever, train_config, agent_config, **kwargs):
+            seen.update(dataclasses.asdict(agent_config), **dataclasses.asdict(train_config))
+            return [], policy.params
+
+        monkeypatch.setattr(training, "em_train", em_train)
+        path = tmp_path / "engine.json"
+        path.write_text(json.dumps(config))
+        assert main(["train", "--world", str(world_dir / "world.json"),
+                     "--examples", str(world_dir / "examples.jsonl"),
+                     "--config", str(path), "--params-out", str(tmp_path / "p.json"),
+                     "--history", str(tmp_path / "h.csv"), *flags]) == 0
+        return seen
+
+    @pytest.mark.parametrize("section, name", _TRAIN_SETTINGS,
+                             ids=[name for _section, name in _TRAIN_SETTINGS])
+    def test_flag_overrides_config_overrides_default(self, world_dir, tmp_path, capsys,
+                                                     monkeypatch, section, name):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flag = {a.dest: a for a in sub.choices["train"]._actions}[name]
+        default = self._train_settings(monkeypatch, world_dir, tmp_path, {})[name]
+        if isinstance(default, bool):  # a store_true flag
+            config_value, flag_config, argv, flag_value = True, False, [], True
+        elif flag.choices:
+            config_value = next(c for c in flag.choices if c != default)
+            flag_value = next(c for c in flag.choices if c not in (default, config_value))
+            flag_config, argv = config_value, [flag_value]
+        else:
+            config_value, flag_value = default + 1, default + 2
+            flag_config, argv = config_value, [str(flag_value)]
+        assert config_value != default
+        settings = self._train_settings(monkeypatch, world_dir, tmp_path,
+                                        {section: {name: config_value}})
+        assert settings[name] == config_value
+        settings = self._train_settings(monkeypatch, world_dir, tmp_path,
+                                        {section: {name: flag_config}},
+                                        flag.option_strings[0], *argv)
+        assert settings[name] == flag_value
+        capsys.readouterr()
 
 
 class TestEvalRetrievalMetrics:
