@@ -27,11 +27,16 @@ FINAL_VARIANTS = (FINAL, "<Final>", "<FINIAL>")
 
 _CITATION_RE = re.compile(r"\[(\d+)\]")
 _OUTPUT_RE = re.compile(r"^Output:\s*(.*)$")
+_PASSAGE_FIELDS = frozenset(("id", "title", "text"))
 
 
 @dataclass(frozen=True)
 class Passage:
-    """One retrievable unit of text."""
+    """One retrievable unit of text.
+
+    ``extras`` holds any further record fields; it may not reuse the names
+    ``id``, ``title`` or ``text``, which would overwrite them on write.
+    """
 
     id: str
     title: str
@@ -43,6 +48,9 @@ class Passage:
             raise ValueError("passage id must be non-empty")
         if not self.text:
             raise ValueError(f"passage {self.id!r} has empty text")
+        if self.extras and not _PASSAGE_FIELDS.isdisjoint(self.extras):
+            raise ValueError(f"passage {self.id!r} extras reuse a field name: "
+                             f"{sorted(_PASSAGE_FIELDS.intersection(self.extras))}")
 
 
 @dataclass(frozen=True)
@@ -356,7 +364,7 @@ def passage_from_dict(d: dict, line: int | None = None) -> Passage:
             and isinstance(d["text"], str)):
         raise SchemaError("passage id, title and text must be strings; an id of "
                           "another type may be unhashable or unorderable", line)
-    extras = {k: v for k, v in d.items() if k not in ("id", "title", "text")}
+    extras = {k: v for k, v in d.items() if k not in _PASSAGE_FIELDS}
     try:
         return Passage(id=d["id"], title=d["title"], text=d["text"], extras=extras)
     except (ValueError, TypeError) as exc:

@@ -80,6 +80,19 @@ class TestIngest:
         assert "DuplicateId" in result.stderr
         assert len(result.stderr.strip().splitlines()) == 1
 
+    def test_extras_survive_ingest(self, tmp_path):
+        from exsearch.retrieval import load_index
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            '{"id": "p0", "title": "Zürich", "text": "alpha", "source": {"tags": ["a", 1]}}\n'
+            '{"id": "p1", "title": "t", "text": "beta"}\n'
+            '{"id": "p2", "title": "t", "text": "gamma", "lang": "日本語"}\n', encoding="utf-8")
+        assert main(["ingest", "--corpus", str(corpus), "--index", str(tmp_path / "idx")]) == 0
+        loaded = load_index(tmp_path / "idx")
+        assert [p.extras for p in loaded.passages.values()] == [
+            {"source": {"tags": ["a", 1]}}, {}, {"lang": "日本語"}]
+        assert loaded.passages["p0"].title == "Zürich"
+
     def test_reingest_gives_identical_results(self, world_dir, tmp_path):
         for sub in ("i1", "i2"):
             assert main(["ingest", "--corpus", str(world_dir / "corpus.jsonl"),

@@ -23,7 +23,7 @@ from exsearch.retrieval import (
     search,
     tokenize,
 )
-from exsearch.trajectory import Passage, passage_to_dict
+from exsearch.trajectory import Passage
 
 
 def brute_force_bm25(passages: list[Passage], query: str) -> dict[str, float]:
@@ -53,6 +53,21 @@ def brute_force_bm25(passages: list[Passage], query: str) -> dict[str, float]:
 
 def passages_from(texts: dict[str, str]) -> list[Passage]:
     return [Passage(id=pid, title=pid, text=text) for pid, text in texts.items()]
+
+
+def passages_with_extras() -> list[Passage]:
+    """Passages of which some carry extras (a nested value, a non-ASCII
+    string) and some carry none."""
+    return [Passage(id="p0", title="Zürich", text="alpha beta",
+                    extras={"source": {"url": "https://example.org/z", "tags": ["a", 1]}}),
+            Passage(id="p1", title="t", text="beta gamma"),
+            Passage(id="p2", title="t", text="gamma delta", extras={"lang": "日本語"}),
+            Passage(id="p3", title="t", text="delta alpha")]
+
+
+def columns_body(ids, titles, texts, extras=None) -> dict:
+    """A version-3 index body holding the given columns."""
+    return {"id": ids, "title": titles, "text": texts, "extras": extras or {}}
 
 
 class TestTokenize:
@@ -310,7 +325,10 @@ class TestPersistence:
         assert list(loaded.postings) == list(built.postings)
         assert list(loaded.passages) == list(built.passages)
         body = json.loads(zlib.decompress(path.read_bytes()[len(INDEX_MAGIC) + 1:]))
-        assert body == [passage_to_dict(p) for p in built.passages.values()]
+        assert body == {"id": [p.id for p in built.passages.values()],
+                        "title": [p.title for p in built.passages.values()],
+                        "text": [p.text for p in built.passages.values()],
+                        "extras": {}}
 
         rng = np.random.default_rng(5)
         queries = [ex.question for ex in synth.make_questions(world, 20, 5)]
@@ -332,29 +350,101 @@ class TestPersistence:
         payload = zlib.compress(json.dumps(body).encode("utf-8"))
         path.write_bytes(INDEX_MAGIC + bytes([version]) + payload)
 
-    @pytest.mark.parametrize("records, message", [
-        ([{"id": "p", "title": "t"}], "missing required field 'text'"),
-        ([{"id": "p", "title": "t", "text": ""}], "empty text"),
-        ([{"id": ["p"], "title": "t", "text": "alpha"}], "unhashable"),
-    ])
-    def test_malformed_record_raises_corrupt(self, tmp_path, records, message):
+    @pytest.mark.parametrize("body, message", [
+        (columns_body(["p"], ["t"], []), "columns differ in length: id 1, title 1, text 0"),
+        (columns_body(["p"], ["t"], [""]), "empty text"),
+        (columns_body([["p"]], ["t"], ["alpha"]), "column 'id' is not a list of strings"),
+    ], ids=["records0-missing required field 'text'", "records1-empty text",
+            "records2-unhashable"])
+    def test_malformed_record_raises_corrupt(self, tmp_path, body, message):
         path = tmp_path / "rec.exsidx"
-        self._write_body(path, records)
+        self._write_body(path, body)
         with pytest.raises(CorruptIndex, match=rf"rec\.exsidx: .*{message}"):
             load_index(path)
 
     def test_repeated_passage_id_raises_corrupt(self, tmp_path):
         path = tmp_path / "dup.exsidx"
-        record = {"id": "p", "title": "t", "text": "alpha"}
-        self._write_body(path, [record, record])
+        self._write_body(path, columns_body(["p", "p"], ["t", "t"], ["alpha", "alpha"]))
         with pytest.raises(CorruptIndex, match=r"dup\.exsidx: duplicate passage id"):
             load_index(path)
 
-    @pytest.mark.parametrize("body", [{"passages": []}, ["p"], [["p", "t", "x"]], 7])
+    @pytest.mark.parametrize("body", [
+        [{"id": "p", "title": "t", "text": "alpha"}], ["p"], [["p"], ["t"], ["alpha"]], 7])
     def test_body_not_a_list_of_records_raises_corrupt(self, tmp_path, body):
         path = tmp_path / "shape.exsidx"
         self._write_body(path, body)
-        with pytest.raises(CorruptIndex, match=r"shape\.exsidx: .*not a list"):
+        with pytest.raises(CorruptIndex, match=r"shape\.exsidx: .*not an object with exactly"):
+            load_index(path)
+
+    @pytest.mark.parametrize("body", [
+        columns_body(["p", "q"], ["t"], ["alpha", "beta"]),
+        columns_body(["p"], ["t", "u"], ["alpha", "beta"]),
+        columns_body([], ["t"], ["alpha"]),
+    ])
+    def test_unequal_column_lengths_raise_corrupt(self, tmp_path, body):
+        path = tmp_path / "len.exsidx"
+        self._write_body(path, body)
+        with pytest.raises(CorruptIndex, match=r"len\.exsidx: index columns differ in length"):
+            load_index(path)
+
+    @pytest.mark.parametrize("title", [3, None, ["t"]])
+    def test_non_string_title_raises_corrupt(self, tmp_path, title):
+        path = tmp_path / "title.exsidx"
+        self._write_body(path, columns_body(["p", "q"], ["t", title], ["alpha", "beta"]))
+        with pytest.raises(CorruptIndex,
+                           match=r"title\.exsidx: index column 'title' is not a list of strings"):
+            load_index(path)
+
+    @pytest.mark.parametrize("body", [
+        {"id": ["p"], "title": ["t"], "text": ["alpha"]},
+        {"id": ["p"], "title": ["t"], "extras": {}},
+        {**columns_body(["p"], ["t"], ["alpha"]), "passages": []},
+        {"id": ["p"], "title": ["t"], "text": ["alpha"], "extra": {}},
+    ])
+    def test_missing_or_extra_top_level_key_raises_corrupt(self, tmp_path, body):
+        path = tmp_path / "keys.exsidx"
+        self._write_body(path, body)
+        with pytest.raises(CorruptIndex, match=r"keys\.exsidx: .*not an object with exactly"):
+            load_index(path)
+
+    @pytest.mark.parametrize("extras, message", [
+        ({"2": {"a": 1}}, "key '2' is not a row number below 2"),
+        ({"-1": {"a": 1}}, "key '-1' is not a row number below 2"),
+        ({"x": {"a": 1}}, "key 'x' is not a row number below 2"),
+        ({"01": {"a": 1}}, "key '01' is not a row number below 2"),
+        ({" 1": {"a": 1}}, "key ' 1' is not a row number below 2"),
+        ({"\u0661": {"a": 1}}, "is not a row number below 2"),
+        ({"1": ["a", 1]}, "extras row 1 is not an object"),
+        ({"1": "a"}, "extras row 1 is not an object"),
+        ({"1": {"text": ""}}, "extras reuse a field name"),
+    ])
+    def test_bad_extras_row_raises_corrupt(self, tmp_path, extras, message):
+        path = tmp_path / "extras.exsidx"
+        self._write_body(path, columns_body(["p", "q"], ["t", "u"], ["alpha", "beta"], extras))
+        with pytest.raises(CorruptIndex, match=rf"extras\.exsidx: .*{message}"):
+            load_index(path)
+
+    @pytest.mark.parametrize("extras", [[], ["1"], 7])
+    def test_extras_not_an_object_raises_corrupt(self, tmp_path, extras):
+        path = tmp_path / "extras.exsidx"
+        self._write_body(path, {**columns_body(["p"], ["t"], ["alpha"]), "extras": extras})
+        with pytest.raises(CorruptIndex, match=r"extras\.exsidx: index extras is not an object"):
+            load_index(path)
+
+    def test_extras_survive_the_index_file(self, tmp_path):
+        index = build_index(passages_with_extras())
+        path = tmp_path / "index.exsidx"
+        save_index(index, path)
+        loaded = load_index(path)
+        assert [p.extras for p in loaded.passages.values()] == \
+            [p.extras for p in index.passages.values()]
+        body = json.loads(zlib.decompress(path.read_bytes()[len(INDEX_MAGIC) + 1:]))
+        assert sorted(body["extras"]) == ["0", "2"]
+
+    def test_version_2_file_asks_for_reingest(self, tmp_path):
+        path = tmp_path / "v2.exsidx"
+        self._write_body(path, [{"id": "p", "title": "p", "text": "alpha"}], version=2)
+        with pytest.raises(VersionMismatch, match=r"version 2\b.*exsearch ingest"):
             load_index(path)
 
     def test_version_1_file_asks_for_reingest(self, tmp_path):

@@ -47,6 +47,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             Passage(id="p", title="t", text="")
 
+    @pytest.mark.parametrize("extras", [{"id": "q", "text": ""}, {"title": "u"}])
+    def test_passage_extras_may_not_reuse_a_field_name(self, extras):
+        # Written out, such extras would overwrite the passage's own fields.
+        with pytest.raises(ValueError, match="extras reuse a field name"):
+            Passage(id="p", title="t", text="x", extras=extras)
+
     def test_step_rank_gaps_rejected(self):
         bad = (ScoredPassage("a", 2.0, 1), ScoredPassage("b", 1.0, 3))
         with pytest.raises(ValueError):
