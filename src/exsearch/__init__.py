@@ -18,10 +18,11 @@ The package splits into:
 
 Import each name from its module (``from exsearch.retrieval import
 build_index``). The package root re-exports nothing, so importing one module
-loads only what that module imports: :mod:`exsearch.stub` needs only the
-standard library, and :mod:`exsearch.trajectory`, :mod:`exsearch.retrieval`,
-:mod:`exsearch.metrics` and :mod:`exsearch.errors` load neither numpy nor the
-policy, agent or training modules.
+loads only what that module imports: :mod:`exsearch.trajectory`,
+:mod:`exsearch.retrieval`, :mod:`exsearch.metrics` and :mod:`exsearch.errors`
+load neither numpy nor the policy, agent or training modules, and
+:mod:`exsearch.stub` needs only the standard library and
+:mod:`exsearch.trajectory`, whose reader of the transcript grammar it uses.
 """
 
 __version__ = "0.1.0"

@@ -10,16 +10,13 @@ the loop continues, letting the policy reformulate at the next hop.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from .retrieval import Retriever
-from .trajectory import Passage, Step, Trajectory
-
-_RANK_POSITION_RE = re.compile(r"\[(\d+)\]")
+from .trajectory import Passage, Step, Trajectory, read_citations
 
 
 class Episode(Protocol):
@@ -99,8 +96,7 @@ def parse_rank_directive(directive: str, passage_ids: Sequence[str], m: int) -> 
     """
     chosen: list[str] = []
     seen: set[int] = set()
-    for token in _RANK_POSITION_RE.findall(directive):
-        pos = int(token)
+    for pos in read_citations(directive):
         if pos < 1 or pos > len(passage_ids) or pos in seen:
             continue
         seen.add(pos)

@@ -3,7 +3,10 @@
 The engine, not the model, executes retrieval: generation is driven
 turn-by-turn with stop sequences at the search and final-answer tags, and
 retrieved documents are injected into the running transcript between
-generations. The wire protocol is the de-facto open chat-completion shape:
+generations. Each generation is read with :func:`exsearch.trajectory.iter_actions`,
+so a tag counts only at the start of a line: an episode records the first
+<RECORD> payload and takes the last <THINK> that has a payload as its next
+sub-query; a generation without one ends the search. The wire protocol is the de-facto open chat-completion shape:
 
     request  {"model", "messages": [{"role", "content"}, ...],
               "max_tokens", "stop": [...], "logprobs"?: bool,
@@ -31,7 +34,10 @@ before use. Proxies come from the environment (``http_proxy``,
 A trailing assistant message is treated as a prefix the model continues.
 ``score_completion`` requests per-token log-probabilities of the given text
 conditioned on the messages; servers without log-probability support simply
-omit the ``logprobs`` field, which surfaces as LogprobsUnsupported here.
+omit the ``logprobs`` field (or send null), which surfaces as
+LogprobsUnsupported here. A reply of any other shape than the one above,
+including a log-probability that is not a finite number, raises
+EndpointError.
 
 :func:`chat_turns` builds the prompt that generation, answer scoring and the
 SFT records of :mod:`exsearch.training` share.
@@ -41,7 +47,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import math
 import os
 import random
 import re
@@ -55,14 +60,13 @@ import urllib.request
 import weakref
 from base64 import b64encode
 from dataclasses import dataclass
-from numbers import Real
 from typing import Sequence
 
 import numpy as np
 
 from .errors import AuthError, EndpointError, LogprobsUnsupported, NoDocuments, Timeout
 from .trajectory import (FINAL_VARIANTS, RANK, RECORD, SEARCH, THINK, Passage, Trajectory,
-                         render_transcript)
+                         finite_real, iter_actions, render_transcript)
 
 DEFAULT_API_KEY_ENV = "EXSEARCH_API_KEY"
 
@@ -86,9 +90,6 @@ Your Output:"""
 GENERATION_STOPS = [SEARCH, *FINAL_VARIANTS]
 # Token limit of a generation; an episode's rank and answer generations use 64.
 MAX_TOKENS = 512
-
-_THINK_RE = re.compile(rf"{THINK}[ \t]*(.+)")
-_RECORD_RE = re.compile(rf"{RECORD}[ \t]*(.*)")
 
 
 def build_system_prompt() -> str:
@@ -128,6 +129,12 @@ def wire_messages(turns: Sequence[ChatTurn]) -> list[dict]:
     return [{"role": t.role, "content": t.content} for t in turns]
 
 
+def _last_subquery(actions: Sequence[tuple[str, str]]) -> str | None:
+    """The payload of the last <THINK> that has one; None when none has."""
+    return next((payload for tag, payload in reversed(actions) if tag == THINK and payload),
+                None)
+
+
 def _answer_prefix(trajectory: Trajectory) -> str:
     """The assistant prefix of answering and answer scoring: the canonical
     transcript (no document bodies) closed by a bare final-answer tag."""
@@ -161,8 +168,7 @@ class EndpointConfig:
                              f"host, got {self.base_url!r}")
         for name in ("timeout", "backoff_base"):
             value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, Real)
-                    or not math.isfinite(value)):
+            if not finite_real(value):
                 raise ValueError(f"{name} must be a finite number")
         for name in ("max_retries", "parallelism_cap"):
             if type(getattr(self, name)) is not int:
@@ -529,11 +535,16 @@ class HttpChatClient:
             f"request failed after {attempts} attempts: {last_error}") from last_error
 
     @staticmethod
-    def _message(response: dict) -> dict:
+    def _choice(response) -> tuple[dict, dict]:
+        """A reply's first choice and its message, both JSON objects."""
         try:
-            return response["choices"][0]["message"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise EndpointError(f"malformed endpoint response: {response!r}") from exc
+            choice = response["choices"][0]
+            message = choice["message"]
+        except (KeyError, IndexError, TypeError):
+            message = None
+        if not isinstance(message, dict):
+            raise EndpointError(f"malformed endpoint response: {response!r}")
+        return choice, message
 
     def _body(self, turns: Sequence[ChatTurn], **options) -> dict:
         return {"model": self.config.model_name, "messages": wire_messages(turns),
@@ -543,21 +554,28 @@ class HttpChatClient:
                  max_tokens: int = MAX_TOKENS) -> str:
         """Run one generation and return the assistant text."""
         payload = self._body(turns, max_tokens=max_tokens, stop=list(stop_sequences))
-        message = self._message(self._request(payload))
+        _, message = self._choice(self._request(payload))
         content = message.get("content")
-        if content is None:
-            raise EndpointError("endpoint response carries no message content")
+        if not isinstance(content, str):
+            raise EndpointError(f"endpoint message content is not a string: {content!r}")
         return content
 
     def _score_request(self, turns: Sequence[ChatTurn], target: str) -> list[float]:
         response = self._request(self._body(turns, max_tokens=0, logprobs=True,
                                             score_completion=target))
-        message = self._message(response)
-        logprobs = response["choices"][0].get("logprobs") or message.get("logprobs")
-        if not logprobs or "content" not in logprobs:
+        choice, message = self._choice(response)
+        logprobs = choice.get("logprobs")
+        if logprobs is None:
+            logprobs = message.get("logprobs")
+        if logprobs is None:
             raise LogprobsUnsupported(
                 f"endpoint {self.config.base_url} reports no token log-probabilities")
-        return [float(item["logprob"]) for item in logprobs["content"]]
+        items = logprobs.get("content") if isinstance(logprobs, dict) else None
+        if not (isinstance(items, list) and all(
+                isinstance(item, dict) and isinstance(item.get("token"), str)
+                and finite_real(item.get("logprob")) for item in items)):
+            raise EndpointError(f"malformed token log-probabilities: {logprobs!r}")
+        return [float(item["logprob"]) for item in items]
 
     def _ensure_logprobs(self, turns: Sequence[ChatTurn], target: str) -> list[float]:
         if self._logprobs_ok is False:
@@ -630,11 +648,9 @@ class ChatEpisode:
             return sub_query
         text = self._generate(GENERATION_STOPS)
         self._append(text)
-        thinks = _THINK_RE.findall(text)
-        if not thinks:
-            self.finalizing = True
-            return None
-        return thinks[-1].strip()
+        sub_query = _last_subquery(list(iter_actions(text)))
+        self.finalizing = sub_query is None
+        return sub_query
 
     def _docs_line(self, documents: Sequence[Passage]) -> str:
         def flat(text: str) -> str:
@@ -662,14 +678,10 @@ class ChatEpisode:
         self.docs_injected = False
         text = self._generate(GENERATION_STOPS)
         self._append(text)
-        record = _RECORD_RE.search(text)
-        evidence = record.group(1).strip() if record else ""
-        thinks = _THINK_RE.findall(text)
-        if thinks:
-            self.pending_think = thinks[-1].strip()
-        else:
-            self.finalizing = True
-        return evidence
+        actions = list(iter_actions(text))
+        self.pending_think = _last_subquery(actions)
+        self.finalizing = self.pending_think is None
+        return next((payload for tag, payload in actions if tag == RECORD), "")
 
     def answer(self, trajectory: Trajectory, rng: np.random.Generator) -> str:
         self.assistant = _answer_prefix(trajectory)

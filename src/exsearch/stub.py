@@ -6,9 +6,12 @@ without a live model. Behaviors:
 
 * :class:`ScriptedBehavior` replays a fixed response sequence verbatim;
 * :class:`ChainOracleBehavior` acts as a rule-based search agent over
-  synthetic chain questions ("ent7 rel2 rel0"), reading injected search
-  results and emitting well-formed THINK/RECORD/FINAL segments;
+  synthetic chain questions ("ent7 rel2 rel0"), reading its partial
+  transcript with :func:`exsearch.trajectory.iter_actions` and emitting
+  well-formed THINK/RECORD/FINAL segments;
 * :class:`FlakyBehavior` prefixes any behavior with scripted HTTP statuses.
+
+It needs only the standard library and :mod:`exsearch.trajectory`.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Sequence
 
+from .trajectory import FINAL, RANK, RECORD, SEARCH, iter_actions
+
 Responder = Callable[[dict], tuple[int, dict]]
 
 _FIRST_DOC_RE = re.compile(r"\[1\] Title: .*? Content: (.*?)(?= \[\d+\] Title: |$)")
-_RECORD_LINE_RE = re.compile(r"<RECORD>[ \t]*(.*)")
 
 
 def chat_response(content: str, logprobs: list[dict] | None = None) -> dict:
@@ -128,27 +132,24 @@ class ChainOracleBehavior:
         question = self._question(request)
         tokens = question.split()
         relations = tokens[1:]
-        partial = self._partial(request)
-        lines = [ln for ln in partial.splitlines() if ln.strip()]
-        last = lines[-1].strip() if lines else ""
-        search_lines = [ln for ln in lines if ln.strip().startswith("<SEARCH>")]
-        n_records = sum(1 for ln in lines if ln.strip().startswith("<RECORD>"))
+        actions = list(iter_actions(self._partial(request)))
+        last = actions[-1] if actions else None
+        searches = [payload for tag, payload in actions if tag == SEARCH]
+        records = [payload for tag, payload in actions if tag == RECORD]
 
-        if partial.rstrip().endswith("<FINAL>"):
-            records = _RECORD_LINE_RE.findall(partial)
-            answer = records[-1].strip() if records else "unknown"
-            text = f" {answer}\n"
-        elif last == "<RANK>":
+        if last == (FINAL, ""):
+            text = f" {records[-1] if records else 'unknown'}\n"
+        elif last == (RANK, ""):
             text = " " + " > ".join(f"[{i}]" for i in range(1, 4)) + "\n"
-        elif len(search_lines) > n_records:
-            hop = len(search_lines)
-            doc = _FIRST_DOC_RE.search(search_lines[-1])
+        elif len(searches) > len(records):
+            hop = len(searches)
+            doc = _FIRST_DOC_RE.search(searches[-1])
             obj = doc.group(1).split()[-1] if doc and doc.group(1).split() else "unknown"
             if hop < len(relations):
                 text = f"<RECORD> {obj}\n<THINK> {obj} {relations[hop]}\n<SEARCH>"
             else:
                 text = f"<RECORD> {obj}\n<FINAL>"
-        elif not lines:
+        elif not actions:
             start = tokens[0] if tokens else "unknown"
             first_rel = relations[0] if relations else ""
             text = f"<THINK> {start} {first_rel}\n<SEARCH>"

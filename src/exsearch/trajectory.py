@@ -7,13 +7,21 @@ answer. Transcripts encode trajectories as one action per line using the tags
 ``<Final>`` and ``<FINIAL>`` are accepted as spellings of ``<FINAL>`` on parse
 and canonicalized on render. :func:`render_transcript` and
 :func:`render_parsed` share the grammar's one writer.
+
+This module also holds the grammar's one reader, which every other module
+uses: :func:`match_tag` reads one line, :func:`iter_actions` the lines of a
+text as ``str.splitlines`` splits them, :func:`read_citations` the "[n]"
+numbers of a <SEARCH> or <RANK> payload. A tag counts only at the start of a
+line, after leading whitespace; a space after it is optional; its payload is
+the rest of the line, stripped; a tag in mid-line is text.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Iterator
 
 from .errors import MalformedAction, MalformedFile, SchemaError
@@ -24,6 +32,7 @@ RECORD = "<RECORD>"
 RANK = "<RANK>"
 FINAL = "<FINAL>"
 FINAL_VARIANTS = (FINAL, "<Final>", "<FINIAL>")
+_TAGS = (THINK, SEARCH, RECORD, RANK) + FINAL_VARIANTS
 
 _CITATION_RE = re.compile(r"\[(\d+)\]")
 _OUTPUT_RE = re.compile(r"^Output:\s*(.*)$")
@@ -79,9 +88,12 @@ class Step:
     def __post_init__(self):
         if self.hop < 1:
             raise ValueError("hop indices are 1-based")
-        if "\n" in self.sub_query or "\n" in self.evidence:
-            raise ValueError("sub-query and evidence must be single-line "
-                             "(the transcript grammar is line-based)")
+        for text in (self.sub_query, self.evidence):
+            if not isinstance(text, str):
+                raise TypeError("sub-query and evidence must be strings")
+            if text.splitlines() not in ([], [text]):
+                raise ValueError("sub-query and evidence must be single-line (the "
+                                 "transcript grammar splits lines as str.splitlines does)")
         ranks = [sp.rank for sp in self.retrieved]
         if ranks != list(range(1, len(ranks) + 1)):
             raise ValueError("retrieved ranks must be 1..K without gaps")
@@ -226,12 +238,28 @@ def render_parsed(parsed: ParsedTranscript) -> str:
                               for s in parsed.steps), parsed.answer)
 
 
-def _match_tag(line: str) -> tuple[str, str] | None:
-    for tag in (THINK, SEARCH, RECORD, RANK) + FINAL_VARIANTS:
-        if line == tag or line.startswith(tag + " "):
-            canonical = FINAL if tag in FINAL_VARIANTS else tag
-            return canonical, line[len(tag):].strip()
+def match_tag(line: str) -> tuple[str, str] | None:
+    """The action on one line: its canonical tag and stripped payload, or
+    None when the line is text. A tag counts only at the start of the line,
+    after leading whitespace; a space after it is optional."""
+    line = line.lstrip()
+    for tag in _TAGS:
+        if line.startswith(tag):
+            return (FINAL if tag in FINAL_VARIANTS else tag), line[len(tag):].strip()
     return None
+
+
+def iter_actions(text: str) -> Iterator[tuple[str, str]]:
+    """The actions of ``text``, one per line that holds one, in order."""
+    for line in text.splitlines():
+        matched = match_tag(line)
+        if matched is not None:
+            yield matched
+
+
+def read_citations(text: str) -> tuple[int, ...]:
+    """The numbers cited as "[n]" in ``text``, in order."""
+    return tuple(int(n) for n in _CITATION_RE.findall(text))
 
 
 def parse_transcript(text: str) -> ParsedTranscript:
@@ -247,70 +275,48 @@ def parse_transcript(text: str) -> ParsedTranscript:
     skipped = 0
     answer: str | None = None
     final_seen = False
-    current: dict[str, Any] | None = None
-
-    def close_current():
-        nonlocal current
-        if current is not None:
-            steps.append(
-                ParsedStep(
-                    sub_query=current["sub_query"],
-                    citations=tuple(current["citations"]),
-                    evidence=current["evidence"],
-                    rank_directive=current["rank"],
-                )
-            )
-            current = None
-
+    current: ParsedStep | None = None  # the open step, until <RECORD> closes it
+    searched = False
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue
-        matched = _match_tag(line)
+        matched = match_tag(line)
         if final_seen:
-            if answer is None and matched is None:
-                m = _OUTPUT_RE.match(line)
-                if m:
-                    answer = m.group(1).strip()
-                    continue
-            skipped += 1
+            output = _OUTPUT_RE.match(line) if answer is None and matched is None else None
+            if output:
+                answer = output.group(1).strip()
+            else:
+                skipped += 1
             continue
         if matched is None:
             skipped += 1
             continue
         tag, payload = matched
+        if tag in (THINK, FINAL) and current is not None:
+            steps.append(current)
+            current = None
         if tag == THINK:
             if not payload:
                 raise MalformedAction("<THINK> without a sub-query")
-            close_current()
-            current = {"sub_query": payload, "citations": [], "evidence": "", "rank": None,
-                       "searched": False, "recorded": False}
-        elif tag == SEARCH:
-            if current is None or current["searched"]:
-                skipped += 1
-            else:
-                current["searched"] = True
-                current["citations"] = [int(n) for n in _CITATION_RE.findall(payload)]
-        elif tag == RANK:
-            if not payload:
-                raise MalformedAction("<RANK> without a ranking")
-            if current is None or current["rank"] is not None:
-                skipped += 1
-            else:
-                current["rank"] = payload
-        elif tag == RECORD:
-            if current is None:
-                skipped += 1
-            else:
-                current["evidence"] = payload
-                close_current()
+            current, searched = ParsedStep(payload, (), ""), False
         elif tag == FINAL:
-            close_current()
             final_seen = True
-            if payload:
-                answer = payload
-
-    close_current()
+            answer = payload or None
+        elif tag == RANK and not payload:
+            raise MalformedAction("<RANK> without a ranking")
+        elif (current is None or (tag == SEARCH and searched)
+              or (tag == RANK and current.rank_directive is not None)):
+            skipped += 1
+        elif tag == SEARCH:
+            current, searched = replace(current, citations=read_citations(payload)), True
+        elif tag == RANK:
+            current = replace(current, rank_directive=payload)
+        else:  # <RECORD> closes the step
+            steps.append(replace(current, evidence=payload))
+            current = None
+    if current is not None:
+        steps.append(current)
     if final_seen and answer is None:
         answer = ""
     return ParsedTranscript(steps=tuple(steps), answer=answer, skipped_lines=skipped)
@@ -426,15 +432,31 @@ def _step_to_dict(s: Step) -> dict:
     return d
 
 
+def finite_real(value) -> bool:
+    """Whether ``value`` is a finite int or float; a bool is not."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _objects(d: dict, name: str, line: int | None) -> list[dict]:
+    value = d[name]
+    if not (isinstance(value, list) and all(isinstance(v, dict) for v in value)):
+        raise SchemaError(f"field {name!r} must be a list of objects", line)
+    return value
+
+
 def _step_from_dict(d: dict, hop: int, line: int | None) -> Step:
     _require(d, ("sub_query", "retrieved", "evidence"), line)
     retrieved = []
-    for r in d["retrieved"]:
+    for r in _objects(d, "retrieved", line):
         _require(r, ("id", "score", "rank"), line)
+        if not finite_real(r["score"]) or type(r["rank"]) is not int:
+            raise SchemaError("a retrieved score must be a finite number and its rank "
+                              "an integer", line)
         retrieved.append(ScoredPassage(passage_ref=r["id"], score=float(r["score"]),
-                                       rank=int(r["rank"])))
-    selected = tuple(d["selected"]) if d.get("selected") is not None else None
+                                       rank=r["rank"]))
     try:
+        selected = tuple(d["selected"]) if d.get("selected") is not None else None
         return Step(sub_query=d["sub_query"], retrieved=tuple(retrieved),
                     selected=selected, evidence=d["evidence"], hop=hop)
     except (ValueError, TypeError) as exc:
@@ -462,7 +484,8 @@ def trajectory_record_to_dict(rec: TrajectoryRecord) -> dict:
 def trajectory_record_from_dict(d: dict, line: int | None = None) -> TrajectoryRecord:
     _require(d, ("id", "question", "steps"), line)
     extras = {k: v for k, v in d.items() if k not in _TRAJECTORY_FIELDS}
-    steps = tuple(_step_from_dict(s, hop, line) for hop, s in enumerate(d["steps"], 1))
+    steps = tuple(_step_from_dict(s, hop, line)
+                  for hop, s in enumerate(_objects(d, "steps", line), 1))
     try:
         trajectory = Trajectory(
             question=d["question"],

@@ -5,9 +5,9 @@ from conftest import chain_following_policy, chain_world, tiny_wiki_corpus, unif
 from exsearch.agent import AgentConfig, episode_rng, parse_rank_directive, rank_documents, run_episode
 from exsearch.llm import ChatPolicy, EndpointConfig, HttpChatClient
 from exsearch.retrieval import Retriever, build_index
-from exsearch.stub import ScriptedBehavior, StubChatServer
+from exsearch.stub import ChainOracleBehavior, ScriptedBehavior, StubChatServer
 from exsearch.synth import SyntheticWorld, render_corpus
-from exsearch.trajectory import Passage
+from exsearch.trajectory import Passage, Trajectory, parse_transcript, render_transcript
 
 
 class TestRankDirectiveParsing:
@@ -198,3 +198,70 @@ class TestScriptedChatEpisode:
         assert result.trajectory.steps[0].evidence == "Lisa Marie Presley"
         assert result.trajectory.steps[1].evidence == "four"
         assert result.answer == "four"
+
+
+def scripted_episode(server):
+    config = EndpointConfig(base_url=server.base_url, model_name="stub", backoff_base=0.01)
+    return ChatPolicy(HttpChatClient(config)).start("q")
+
+
+class TestChatEpisodeReadsTheGrammar:
+    """A chat episode reads each generation with the transcript scanner: a
+    tag counts only at the start of a line, and a <THINK> without a payload
+    is no sub-query."""
+
+    NO_HISTORY = Trajectory(question="q", steps=(), terminated=False, budget=3)
+    DOCS = [Passage(id="p1", title="T", text="body")]
+
+    @pytest.mark.parametrize("generation, sub_query", [
+        ("<THINK>ent0 rel0\n", "ent0 rel0"),
+        ("<THINK> a\n<THINK> b\n", "b"),
+        ("<THINK> a\n<THINK> \n", "a"),
+        ("<THINK> q\r\n", "q"),
+        ("<THINK> a\rb\n", "a"),
+        ("I will <THINK> q\n", None),
+        ("<THINK> \t", None),
+    ], ids=["no-space", "two-thinks", "last-with-payload", "crlf", "carriage-return",
+            "mid-line", "whitespace-only"])
+    def test_propose_subquery(self, generation, sub_query):
+        with StubChatServer(ScriptedBehavior([generation])) as server:
+            episode = scripted_episode(server)
+            assert episode.propose_subquery(self.NO_HISTORY, None) == sub_query
+        assert episode.finalizing == (sub_query is None)
+
+    @pytest.mark.parametrize("generation, evidence, pending", [
+        ("<RECORD>x\n<THINK>r\n", "x", "r"),
+        ("<RECORD>\n<THINK> r\n", "", "r"),
+        ("<RECORD> x\n<RECORD> y\n", "x", None),
+        ("so <RECORD> x\n<THINK> r\n", "", "r"),
+        ("<RECORD> x\r\n<THINK> r\r\n", "x", "r"),
+        ("<RECORD> x\n<THINK> a\n<THINK> \t", "x", "a"),
+        ("<RECORD> x\n<THINK> \t", "x", None),
+    ], ids=["no-space", "empty-record", "first-record", "mid-line", "crlf",
+            "last-think-with-payload", "whitespace-only-think"])
+    def test_extract_evidence(self, generation, evidence, pending):
+        with StubChatServer(ScriptedBehavior([generation])) as server:
+            episode = scripted_episode(server)
+            assert episode.extract_evidence(self.DOCS, None) == evidence
+        assert episode.pending_think == pending
+        assert episode.finalizing == (pending is None)
+
+    def test_whitespace_only_think_finalizes_instead_of_searching_nothing(self):
+        retriever = Retriever(build_index(tiny_wiki_corpus()))
+        with StubChatServer(ScriptedBehavior(["<THINK> \t", " four"])) as server:
+            config = EndpointConfig(base_url=server.base_url, model_name="stub",
+                                    backoff_base=0.01, max_retries=0)
+            result = run_episode("q", ChatPolicy(HttpChatClient(config)), retriever,
+                                 AgentConfig(budget=3, k=2), np.random.default_rng(0))
+        assert result.trajectory.steps == () and result.answer == "four"
+        parsed = parse_transcript(render_transcript(result.trajectory, result.answer))
+        assert parsed.steps == () and parsed.answer == "four"
+
+
+def test_chain_oracle_reads_its_partial_through_the_scanner():
+    partial = ("<THINK>ent1 rel0\r\n<SEARCH> [1] Title: t. Content: ent1 rel0 ent4\r\n"
+               "<RECORD>ent4\r\nnote <RECORD> ent9\n<FINAL>")
+    request = {"messages": [{"role": "user", "content": "<USER QUERY> ent1 rel0"},
+                            {"role": "assistant", "content": partial}], "stop": ["\n"]}
+    status, body = ChainOracleBehavior()(request)
+    assert status == 200 and body["choices"][0]["message"]["content"] == " ent4"

@@ -551,6 +551,31 @@ class TestExitCodes:
         self._explore_refused_port(tmp_path, capsys, max_retries=2)
         assert len(sleeps) == 2
 
+    def test_explore_against_malformed_replies_exits_3(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        trajectory.write_passages_jsonl(corpus, _wiki_passages())
+        examples = tmp_path / "ex.jsonl"
+        trajectory.write_examples_jsonl(examples, [
+            trajectory.Example(id=f"e{i}", question="q", gold_answers=("a",))
+            for i in range(2)])
+        assert main(["ingest", "--corpus", str(corpus),
+                     "--index", str(tmp_path / "idx")]) == 0
+        capsys.readouterr()
+        oops = {"choices": [{"message": "oops"}]}
+        with StubChatServer(lambda request: (200, oops)) as server:
+            config = tmp_path / "engine.json"
+            config.write_text(json.dumps({"llm": {"base_url": server.base_url,
+                                                  "model_name": "stub"}}))
+            code = main(["explore", "--examples", str(examples), "--policy", "llm",
+                         "--config", str(config), "--index", str(tmp_path / "idx"),
+                         "--samples", "3", "--out", str(tmp_path / "t.jsonl")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 3
+        assert not (tmp_path / "t.jsonl").exists()
+        assert len(err) == 1
+        assert err[0].startswith("exsearch: error: EndpointError: malformed endpoint response")
+        assert err[0].endswith("(6 of 6 episodes failed)")
+
     def test_missing_input_file_exits_2(self, tmp_path):
         result = run_cli("ingest", "--corpus", str(tmp_path / "nope.jsonl"),
                          "--index", str(tmp_path / "idx"))
@@ -592,6 +617,20 @@ class TestTypedInputErrors:
                          "--index", str(tmp_path / "idx"))
         line = self._error_line(result, 2)
         assert line.startswith("exsearch: error: SchemaError: line 1: passage id")
+
+    def test_weigh_ill_typed_score_exits_2(self, tmp_path):
+        examples = tmp_path / "ex.jsonl"
+        trajectory.write_examples_jsonl(examples, [
+            trajectory.Example(id="e1", question="q", gold_answers=("a",))])
+        trajs = tmp_path / "trajs.jsonl"
+        trajs.write_text(json.dumps({"id": "e1/0", "question": "q", "answer": "a", "steps": [
+            {"sub_query": "s", "evidence": "e",
+             "retrieved": [{"id": "p", "score": {}, "rank": 1}]}]}) + "\n")
+        result = run_cli("weigh", "--trajectories", str(trajs), "--examples", str(examples),
+                         "--mode", "reward-em", "--out", str(tmp_path / "w.jsonl"))
+        line = self._error_line(result, 2)
+        assert line.startswith("exsearch: error: SchemaError: line 1: a retrieved score")
+        assert not (tmp_path / "w.jsonl").exists()
 
     def test_unknown_llm_config_key_exits_1(self, world_dir, tmp_path):
         config = tmp_path / "engine.json"

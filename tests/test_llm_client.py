@@ -515,6 +515,76 @@ class TestScoring:
         assert all(b <= a for a, b in zip(scores, scores[1:]))
 
 
+def serving(body):
+    """A stub behavior answering every request with status 200 and ``body``."""
+    return lambda request: (200, body)
+
+
+class TestMalformedReplies:
+    """Every reply shape other than the documented one raises EndpointError."""
+
+    @pytest.mark.parametrize("body", [
+        {"choices": [{"message": "oops"}]},
+        {"choices": [{"message": {"role": "assistant", "content": 5}}]},
+        {"choices": [{"message": {"role": "assistant"}}]},
+        {"choices": [{"message": ["x"]}]},
+        {"choices": ["oops"]},
+        {"choices": []},
+        {"answer": "x"},
+        ["x"],
+    ], ids=["message-string", "content-number", "content-missing", "message-list",
+            "choice-string", "no-choices", "no-choices-field", "array"])
+    def test_complete(self, body):
+        with StubChatServer(serving(body)) as server:
+            client = HttpChatClient(make_config(server))
+            with pytest.raises(EndpointError):
+                client.complete([ChatTurn("user", "q")], ["<SEARCH>"])
+
+    @pytest.mark.parametrize("logprobs", [
+        {"content": [{"token": "x"}]},
+        {"content": "x"},
+        {"content": [{"token": "x", "logprob": float("nan")}]},
+        {"content": [{"token": "x", "logprob": float("-inf")}]},
+        {"content": [{"token": "x", "logprob": True}]},
+        {"content": [{"token": "x", "logprob": "-0.1"}]},
+        {"content": [{"logprob": -0.1}]},
+        {"content": ["x"]},
+        {"tokens": []},
+        "x",
+    ], ids=["no-logprob", "content-string", "nan", "infinite", "bool", "string",
+            "no-token", "item-string", "no-content", "logprobs-string"])
+    def test_score(self, logprobs):
+        body = {"choices": [{"message": {"role": "assistant", "content": "x"},
+                             "logprobs": logprobs}]}
+        with StubChatServer(serving(body)) as server:
+            client = HttpChatClient(make_config(server, supports_logprobs="yes"))
+            with pytest.raises(EndpointError):
+                client.score_answer_logprob("alpha rel", simple_trajectory(), "x")
+
+    def test_score_of_a_non_object_message(self):
+        with StubChatServer(serving({"choices": [{"message": "oops"}]})) as server:
+            client = HttpChatClient(make_config(server, supports_logprobs="yes"))
+            with pytest.raises(EndpointError):
+                client.score_answer_logprob("alpha rel", simple_trajectory(), "x")
+
+    def test_null_logprobs_are_unsupported(self):
+        body = {"choices": [{"message": {"role": "assistant", "content": "x"},
+                             "logprobs": None}]}
+        with StubChatServer(serving(body)) as server:
+            client = HttpChatClient(make_config(server, supports_logprobs="yes"))
+            with pytest.raises(LogprobsUnsupported):
+                client.score_answer_logprob("alpha rel", simple_trajectory(), "x")
+
+    def test_logprobs_on_the_message_are_read(self):
+        items = [{"token": "x", "logprob": -1}, {"token": "y", "logprob": -0.5}]
+        body = {"choices": [{"message": {"role": "assistant", "content": "x y",
+                                         "logprobs": {"content": items}}}]}
+        with StubChatServer(serving(body)) as server:
+            client = HttpChatClient(make_config(server, supports_logprobs="yes"))
+            assert client.score_answer_logprob("alpha rel", simple_trajectory(),
+                                               "x y") == -1.5
+
+
 class TestEndpointConfig:
     @pytest.mark.parametrize("field, value", [
         ("base_url", "localhost:8000/v1"),

@@ -3,18 +3,28 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_trajectory
 from exsearch.errors import MalformedAction, SchemaError
 from exsearch.trajectory import (
+    FINAL,
+    RECORD,
+    SEARCH,
+    THINK,
     Example,
+    ParsedStep,
     Passage,
     ScoredPassage,
     Step,
     Trajectory,
     TrajectoryRecord,
     WeightedTrajectory,
+    iter_actions,
+    match_tag,
     parse_transcript,
+    read_citations,
     read_examples_jsonl,
     read_passages_jsonl,
     read_trajectories_jsonl,
@@ -22,6 +32,8 @@ from exsearch.trajectory import (
     render_parsed,
     render_transcript,
     repeated_subquery_hops,
+    step_citations,
+    trajectory_record_from_dict,
     weighted_from_dict,
     write_examples_jsonl,
     write_passages_jsonl,
@@ -267,6 +279,48 @@ class TestJsonl:
         with pytest.raises(SchemaError, match="weight"):
             weighted_from_dict({"id": "x", "question": "q", "steps": []})
 
+    @pytest.mark.parametrize("fault", [
+        {"score": {}},
+        {"score": "3.5"},
+        {"score": True},
+        {"score": float("nan")},
+        {"rank": float("nan")},
+        {"rank": 1.7},
+        {"rank": True},
+    ], ids=["score-object", "score-string", "score-bool", "score-nan", "rank-nan",
+            "rank-fraction", "rank-bool"])
+    def test_retrieved_score_and_rank_types_raise_schema_error(self, tmp_path, fault):
+        record = {"id": "x", "question": "q", "steps": [
+            {"sub_query": "s", "evidence": "e",
+             "retrieved": [{"id": "p", "score": 1.0, "rank": 1, **fault}]}]}
+        path = tmp_path / "trajs.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(SchemaError, match="line 1: a retrieved score must be a "
+                                              "finite number and its rank an integer"):
+            read_trajectories_jsonl(path)
+
+    @pytest.mark.parametrize("steps, field", [
+        ([1], "steps"),
+        ("s", "steps"),
+        ([{"sub_query": "s", "evidence": "e", "retrieved": [5]}], "retrieved"),
+        ([{"sub_query": "s", "evidence": "e", "retrieved": {"id": "p"}}], "retrieved"),
+    ], ids=["step-number", "steps-string", "retrieved-number", "retrieved-object"])
+    def test_steps_and_retrieved_must_be_lists_of_objects(self, steps, field):
+        record = {"id": "x", "question": "q", "steps": steps}
+        with pytest.raises(SchemaError, match=f"field '{field}' must be a list of objects"):
+            trajectory_record_from_dict(record, 1)
+        with pytest.raises(SchemaError, match=f"field '{field}'"):
+            weighted_from_dict({**record, "log_weight": 0.0, "weight": 1.0,
+                                "weight_mode": "reward-em"}, 1)
+
+    @pytest.mark.parametrize("fault", [{"sub_query": 3}, {"evidence": None},
+                                       {"selected": 5}, {"evidence": "a\rb"}])
+    def test_other_step_faults_raise_schema_error(self, fault):
+        step_record = {"sub_query": "s", "evidence": "e", "retrieved": [], **fault}
+        with pytest.raises(SchemaError):
+            trajectory_record_from_dict({"id": "x", "question": "q",
+                                         "steps": [step_record]}, 1)
+
 
 class TestLineDiscipline:
     def test_multiline_payloads_rejected(self):
@@ -274,6 +328,18 @@ class TestLineDiscipline:
             step(sub_query="two\nlines")
         with pytest.raises(ValueError, match="single-line"):
             step(evidence="a\nb")
+
+    @pytest.mark.parametrize("boundary", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d",
+                                          "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_every_line_boundary_of_splitlines_rejected(self, boundary):
+        for text in (f"a{boundary}b", f"a{boundary}"):
+            with pytest.raises(ValueError, match="single-line"):
+                step(sub_query=text)
+            with pytest.raises(ValueError, match="single-line"):
+                step(evidence=text)
+
+    def test_whitespace_that_is_no_line_boundary_is_kept(self):
+        assert step(evidence="a\tb\x1fc\u3000d").evidence == "a\tb\x1fc\u3000d"
 
     def test_tag_lookalike_payloads_survive_round_trip(self):
         s = step(sub_query="what is <SEARCH> really", evidence="<THINK> not a tag")
@@ -283,3 +349,96 @@ class TestLineDiscipline:
         assert parsed.steps[0].sub_query == "what is <SEARCH> really"
         assert parsed.steps[0].evidence == "<THINK> not a tag"
         assert parsed.answer == "ans"
+
+
+class TestActionScanner:
+    """One rule: a tag counts only at the start of a line, after leading
+    whitespace; a space after it is optional; the payload is the rest of
+    the line, stripped; a tag in mid-line is text."""
+
+    @pytest.mark.parametrize("line, expected", [
+        ("<THINK> ent0 rel0", (THINK, "ent0 rel0")),
+        ("<THINK>ent0 rel0", (THINK, "ent0 rel0")),
+        ("  \t<RECORD>  ent3  ", (RECORD, "ent3")),
+        ("<RECORD>", (RECORD, "")),
+        ("<SEARCH> [1] [2]", (SEARCH, "[1] [2]")),
+        ("<FINIAL>four", (FINAL, "four")),
+        ("<Final> four", (FINAL, "four")),
+        ("<THINK><SEARCH>", (THINK, "<SEARCH>")),
+        ("I will <THINK> q", None),
+        ("<think> q", None),
+        ("", None),
+    ])
+    def test_match_tag(self, line, expected):
+        assert match_tag(line) == expected
+
+    def test_iter_actions_splits_as_splitlines_does(self):
+        text = "<THINK> a\r\n<SEARCH>\rnote <RECORD> x\x85<RECORD>b\u2028<FINAL>"
+        assert list(iter_actions(text)) == [
+            (THINK, "a"), (SEARCH, ""), (RECORD, "b"), (FINAL, "")]
+
+    def test_read_citations(self):
+        assert read_citations("[2] > [10]>[1] and [x] or [3") == (2, 10, 1)
+        assert read_citations("") == ()
+
+    def test_no_space_after_the_tag_parses(self):
+        parsed = parse_transcript("<THINK>ent0 rel0\n<SEARCH>[1][2]\n<RECORD>ent3\n"
+                                  "<FINAL>ent3")
+        assert parsed.steps == (ParsedStep("ent0 rel0", (1, 2), "ent3"),)
+        assert parsed.answer == "ent3" and parsed.skipped_lines == 0
+
+    def test_tag_in_mid_line_is_text(self):
+        parsed = parse_transcript("so <THINK> q\n<THINK> r\n<SEARCH> [1]\n"
+                                  "then <RECORD> x\n<RECORD> y")
+        assert parsed.steps == (ParsedStep("r", (1,), "y"),)
+        assert parsed.skipped_lines == 2
+
+    def test_empty_record_records_empty_evidence(self):
+        parsed = parse_transcript("<THINK> q\n<SEARCH>\n<RECORD>\n<FINAL> a")
+        assert parsed.steps == (ParsedStep("q", (), ""),) and parsed.answer == "a"
+
+    def test_crlf_output_parses_as_lf(self):
+        text = "<THINK> q\n<SEARCH> [1]\n<RECORD> x\n<FINAL> a"
+        assert parse_transcript(text.replace("\n", "\r\n")) == parse_transcript(text)
+
+    def test_whitespace_only_think_is_malformed(self):
+        with pytest.raises(MalformedAction):
+            parse_transcript("<THINK> \t\n<SEARCH> [1]\n<RECORD> x")
+
+
+# Payload pieces from the grammar's own alphabet: tags, citations, the
+# "Output:" marker and whitespace that is not a line boundary.
+_PIECES = st.sampled_from(["<THINK>", "<SEARCH>", "<RECORD>", "<RANK>", "<FINAL>", "<Final>",
+                           "<FINIAL>", "[1]", "[23]", "[", "]", ">", "Output:", "ent7", "rel2",
+                           " ", "  ", "\t", "\x1f", "\u3000", "é"])
+_PAYLOADS = st.lists(_PIECES, max_size=6).map("".join)
+
+
+@st.composite
+def _grammar_trajectories(draw):
+    steps = []
+    for hop in range(1, draw(st.integers(0, 3)) + 1):
+        n_docs = draw(st.integers(0, 3))
+        retrieved = tuple(ScoredPassage(f"p{hop}-{i}", float(n_docs - i), i)
+                          for i in range(1, n_docs + 1))
+        selected = None
+        if retrieved and draw(st.booleans()):
+            selected = tuple(draw(st.permutations([sp.passage_ref for sp in retrieved]))
+                             [:draw(st.integers(1, n_docs))])
+        steps.append(Step(sub_query=draw(_PAYLOADS.filter(str.strip)), retrieved=retrieved,
+                          selected=selected, evidence=draw(_PAYLOADS), hop=hop))
+    trajectory = Trajectory(question="q", steps=tuple(steps), terminated=True,
+                            budget=max(1, len(steps)))
+    return trajectory, draw(st.none() | _PAYLOADS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grammar_trajectories())
+def test_parse_recovers_what_render_wrote(drawn):
+    trajectory, answer = drawn
+    parsed = parse_transcript(render_transcript(trajectory, answer))
+    assert [(s.sub_query, s.citations, s.evidence) for s in parsed.steps] == [
+        (s.sub_query.strip(), step_citations(s), s.evidence.strip())
+        for s in trajectory.steps]
+    assert parsed.answer == (None if answer is None else answer.strip())
+    assert parsed.skipped_lines == 0
