@@ -30,7 +30,7 @@ import typing
 from pathlib import Path
 
 from . import agent, llm, metrics, retrieval, synth, training, trajectory
-from .errors import DataError, EndpointError, ExsearchError, LogprobsUnsupported, UnknownId
+from .errors import EndpointError, ExsearchError, LogprobsUnsupported, UnknownId
 from .policy import TabularPolicy, TabularPolicyParams
 
 EXIT_OK = 0
@@ -329,11 +329,7 @@ def cmd_train(args, config: dict) -> int:
 
 def cmd_eval(args, config: dict) -> int:
     dataset = trajectory.read_examples_jsonl(args.dataset)
-    predictions: dict[str, str] = {}
-    for n, record in trajectory.iter_jsonl(args.predictions):
-        if "id" not in record or "answer" not in record:
-            raise DataError(f"line {n}: prediction records need id and answer")
-        predictions[record["id"]] = record["answer"]
+    predictions = trajectory.read_predictions_jsonl(args.predictions)
 
     k_list = tuple(int(k) for k in args.k.split(",")) if args.k else ()
     trajectories = None

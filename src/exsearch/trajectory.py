@@ -19,8 +19,8 @@ the rest of the line, stripped; a tag in mid-line is text.
 from __future__ import annotations
 
 import json
-import math
 import re
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Iterator
 
@@ -338,8 +338,9 @@ def repeated_subquery_hops(steps: Iterable[ParsedStep] | Iterable[Step]) -> tupl
 #               "gold_evidences": [...]?}
 #   trajectory {"id", "question", "steps": [{"sub_query",
 #               "retrieved": [{"id", "score", "rank"}], "selected": [...]?,
-#               "evidence"}], "answer"?, "budget", "terminated"}
+#               "evidence"}], "answer"?, "budget"?, "terminated"?}
 #   weighted   trajectory fields plus {"log_weight", "weight", "weight_mode"}
+#   prediction {"id", "answer"}
 #
 # Unknown fields are preserved opaquely on read-then-write.
 
@@ -354,10 +355,48 @@ class TrajectoryRecord:
     extras: dict = field(default_factory=dict, compare=False)
 
 
-def _require(record: dict, fields: Iterable[str], line: int | None) -> None:
-    for name in fields:
-        if name not in record:
+def finite_real(value) -> bool:
+    """Whether ``value`` is an int or float in a float's finite range; a bool is not."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+_BAD, _REQUIRED = object(), object()
+
+# The kinds of field: the phrase an error names each by, and a reader from a
+# JSON value to what the dataclass field holds, or to _BAD. Bools are no ints.
+_STRING = ("a string", lambda v: v if isinstance(v, str) else _BAD)
+_INT = ("an integer", lambda v: v if type(v) is int else _BAD)
+_BOOL = ("a boolean", lambda v: v if type(v) is bool else _BAD)
+_REAL = ("a finite number", lambda v: float(v) if finite_real(v) else _BAD)
+_STRINGS = ("a list of strings", lambda v: tuple(v) if isinstance(v, list)
+            and all(isinstance(x, str) for x in v) else _BAD)
+_OBJECTS = ("a list of objects", lambda v: v if isinstance(v, list)
+            and all(isinstance(x, dict) for x in v) else _BAD)
+
+
+def _field(d: dict, name: str, kind: tuple, line: int | None, default=_REQUIRED):
+    """Field ``name`` of record ``d`` read as ``kind``. An optional field
+    (one given a ``default``) that is absent or null reads as the default;
+    any other value not of ``kind`` raises SchemaError."""
+    value = d.get(name)
+    if value is None and default is not _REQUIRED:
+        return default
+    value = kind[1](value)
+    if value is _BAD:
+        if name not in d:
             raise SchemaError(f"record missing required field {name!r}", line)
+        raise SchemaError(f"field {name!r} must be {kind[0]}", line)
+    return value
+
+
+def _build(cls, line: int | None, **values):
+    """``cls(**values)``; the ValueError or TypeError of its checks raises
+    SchemaError."""
+    try:
+        return cls(**values)
+    except (ValueError, TypeError) as exc:
+        raise SchemaError(str(exc), line) from exc
 
 
 def passage_to_dict(p: Passage) -> dict:
@@ -365,16 +404,10 @@ def passage_to_dict(p: Passage) -> dict:
 
 
 def passage_from_dict(d: dict, line: int | None = None) -> Passage:
-    _require(d, ("id", "title", "text"), line)
-    if not (isinstance(d["id"], str) and isinstance(d["title"], str)
-            and isinstance(d["text"], str)):
-        raise SchemaError("passage id, title and text must be strings; an id of "
-                          "another type may be unhashable or unorderable", line)
-    extras = {k: v for k, v in d.items() if k not in _PASSAGE_FIELDS}
-    try:
-        return Passage(id=d["id"], title=d["title"], text=d["text"], extras=extras)
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(str(exc), line) from exc
+    return _build(Passage, line, id=_field(d, "id", _STRING, line),
+                  title=_field(d, "title", _STRING, line),
+                  text=_field(d, "text", _STRING, line),
+                  extras={k: v for k, v in d.items() if k not in _PASSAGE_FIELDS})
 
 
 _EXAMPLE_FIELDS = ("id", "question", "answers", "gold_passages", "gold_subqueries",
@@ -394,30 +427,13 @@ def example_to_dict(e: Example) -> dict:
 
 
 def example_from_dict(d: dict, line: int | None = None) -> Example:
-    _require(d, ("id", "question", "answers"), line)
-    extras = {k: v for k, v in d.items() if k not in _EXAMPLE_FIELDS}
-
-    def strings(name):
-        value = d[name]
-        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-            raise SchemaError(f"field {name!r} must be a list of strings", line)
-        return tuple(value)
-
-    def opt(name):
-        return strings(name) if name in d and d[name] is not None else None
-
-    try:
-        return Example(
-            id=d["id"],
-            question=d["question"],
-            gold_answers=strings("answers"),
-            gold_passages=opt("gold_passages"),
-            gold_subqueries=opt("gold_subqueries"),
-            gold_evidences=opt("gold_evidences"),
-            extras=extras,
-        )
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(str(exc), line) from exc
+    return _build(Example, line, id=_field(d, "id", _STRING, line),
+                  question=_field(d, "question", _STRING, line),
+                  gold_answers=_field(d, "answers", _STRINGS, line),
+                  gold_passages=_field(d, "gold_passages", _STRINGS, line, None),
+                  gold_subqueries=_field(d, "gold_subqueries", _STRINGS, line, None),
+                  gold_evidences=_field(d, "gold_evidences", _STRINGS, line, None),
+                  extras={k: v for k, v in d.items() if k not in _EXAMPLE_FIELDS})
 
 
 def _step_to_dict(s: Step) -> dict:
@@ -432,35 +448,14 @@ def _step_to_dict(s: Step) -> dict:
     return d
 
 
-def finite_real(value) -> bool:
-    """Whether ``value`` is a finite int or float; a bool is not."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _objects(d: dict, name: str, line: int | None) -> list[dict]:
-    value = d[name]
-    if not (isinstance(value, list) and all(isinstance(v, dict) for v in value)):
-        raise SchemaError(f"field {name!r} must be a list of objects", line)
-    return value
-
-
 def _step_from_dict(d: dict, hop: int, line: int | None) -> Step:
-    _require(d, ("sub_query", "retrieved", "evidence"), line)
-    retrieved = []
-    for r in _objects(d, "retrieved", line):
-        _require(r, ("id", "score", "rank"), line)
-        if not finite_real(r["score"]) or type(r["rank"]) is not int:
-            raise SchemaError("a retrieved score must be a finite number and its rank "
-                              "an integer", line)
-        retrieved.append(ScoredPassage(passage_ref=r["id"], score=float(r["score"]),
-                                       rank=r["rank"]))
-    try:
-        selected = tuple(d["selected"]) if d.get("selected") is not None else None
-        return Step(sub_query=d["sub_query"], retrieved=tuple(retrieved),
-                    selected=selected, evidence=d["evidence"], hop=hop)
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(str(exc), line) from exc
+    retrieved = tuple(ScoredPassage(passage_ref=_field(r, "id", _STRING, line),
+                                    score=_field(r, "score", _REAL, line),
+                                    rank=_field(r, "rank", _INT, line))
+                      for r in _field(d, "retrieved", _OBJECTS, line))
+    return _build(Step, line, sub_query=_field(d, "sub_query", _STRING, line),
+                  retrieved=retrieved, selected=_field(d, "selected", _STRINGS, line, None),
+                  evidence=_field(d, "evidence", _STRING, line), hop=hop)
 
 
 _TRAJECTORY_FIELDS = ("id", "question", "steps", "answer", "budget", "terminated")
@@ -481,22 +476,19 @@ def trajectory_record_to_dict(rec: TrajectoryRecord) -> dict:
     return d
 
 
-def trajectory_record_from_dict(d: dict, line: int | None = None) -> TrajectoryRecord:
-    _require(d, ("id", "question", "steps"), line)
-    extras = {k: v for k, v in d.items() if k not in _TRAJECTORY_FIELDS}
+def _trajectory_from_dict(d: dict, line: int | None) -> Trajectory:
     steps = tuple(_step_from_dict(s, hop, line)
-                  for hop, s in enumerate(_objects(d, "steps", line), 1))
-    try:
-        trajectory = Trajectory(
-            question=d["question"],
-            steps=steps,
-            terminated=bool(d.get("terminated", True)),
-            budget=int(d.get("budget", max(1, len(steps)))),
-        )
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(str(exc), line) from exc
-    return TrajectoryRecord(id=d["id"], trajectory=trajectory,
-                            answer=d.get("answer"), extras=extras)
+                  for hop, s in enumerate(_field(d, "steps", _OBJECTS, line), 1))
+    return _build(Trajectory, line, question=_field(d, "question", _STRING, line),
+                  steps=steps, terminated=_field(d, "terminated", _BOOL, line, True),
+                  budget=_field(d, "budget", _INT, line, max(1, len(steps))))
+
+
+def trajectory_record_from_dict(d: dict, line: int | None = None) -> TrajectoryRecord:
+    return TrajectoryRecord(id=_field(d, "id", _STRING, line),
+                            trajectory=_trajectory_from_dict(d, line),
+                            answer=_field(d, "answer", _STRING, line, None),
+                            extras={k: v for k, v in d.items() if k not in _TRAJECTORY_FIELDS})
 
 
 _WEIGHTED_FIELDS = _TRAJECTORY_FIELDS + ("log_weight", "weight", "weight_mode")
@@ -514,22 +506,13 @@ def weighted_to_dict(rec_id: str, wt: WeightedTrajectory) -> dict:
 
 
 def weighted_from_dict(d: dict, line: int | None = None) -> tuple[str, WeightedTrajectory]:
-    _require(d, ("id", "question", "steps", "log_weight", "weight", "weight_mode"), line)
-    base = trajectory_record_from_dict({k: v for k, v in d.items() if k in _TRAJECTORY_FIELDS},
-                                       line)
-    extras = {k: v for k, v in d.items() if k not in _WEIGHTED_FIELDS}
-    try:
-        wt = WeightedTrajectory(
-            trajectory=base.trajectory,
-            answer=d.get("answer", ""),
-            log_weight=float(d["log_weight"]),
-            weight=float(d["weight"]),
-            weight_mode=d["weight_mode"],
-            extras=extras,
-        )
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(str(exc), line) from exc
-    return base.id, wt
+    wt = _build(WeightedTrajectory, line, trajectory=_trajectory_from_dict(d, line),
+                answer=_field(d, "answer", _STRING, line, ""),
+                log_weight=_field(d, "log_weight", _REAL, line),
+                weight=_field(d, "weight", _REAL, line),
+                weight_mode=_field(d, "weight_mode", _STRING, line),
+                extras={k: v for k, v in d.items() if k not in _WEIGHTED_FIELDS})
+    return _field(d, "id", _STRING, line), wt
 
 
 def write_jsonl(path, records: Iterable[dict]) -> int:
@@ -543,16 +526,23 @@ def write_jsonl(path, records: Iterable[dict]) -> int:
     return n
 
 
+# surrogateescape decodes each byte that is not UTF-8 to one of these
+_UNDECODED_RE = re.compile("[\udc80-\udcff]")
+
+
 def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, record) pairs; raises SchemaError on bad JSON."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Yield (line_number, record) pairs; raises SchemaError on a line that
+    is not UTF-8, is not JSON or is not a JSON object."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
+            if not line.isascii() and _UNDECODED_RE.search(line):
+                raise SchemaError("invalid UTF-8", line_no)
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc.msg}", line_no) from exc
+            except ValueError as exc:  # also an int past the interpreter's digit limit
+                raise SchemaError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line_no) from exc
             if not isinstance(record, dict):
                 raise SchemaError("record is not a JSON object", line_no)
             yield line_no, record
@@ -604,3 +594,10 @@ def read_weighted_jsonl(path) -> list[tuple[str, WeightedTrajectory]]:
 
 def write_weighted_jsonl(path, items: Iterable[tuple[str, WeightedTrajectory]]) -> int:
     return write_jsonl(path, (weighted_to_dict(i, wt) for i, wt in items))
+
+
+def read_predictions_jsonl(path) -> dict[str, str]:
+    """Each prediction record's answer by its example id; a later record for
+    an id replaces an earlier one."""
+    return {_field(d, "id", _STRING, n): _field(d, "answer", _STRING, n)
+            for n, d in iter_jsonl(path)}

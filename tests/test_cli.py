@@ -616,7 +616,8 @@ class TestTypedInputErrors:
         result = run_cli("ingest", "--corpus", str(corpus),
                          "--index", str(tmp_path / "idx"))
         line = self._error_line(result, 2)
-        assert line.startswith("exsearch: error: SchemaError: line 1: passage id")
+        assert line.startswith("exsearch: error: SchemaError: line 1: "
+                               "field 'id' must be a string")
 
     def test_weigh_ill_typed_score_exits_2(self, tmp_path):
         examples = tmp_path / "ex.jsonl"
@@ -629,8 +630,79 @@ class TestTypedInputErrors:
         result = run_cli("weigh", "--trajectories", str(trajs), "--examples", str(examples),
                          "--mode", "reward-em", "--out", str(tmp_path / "w.jsonl"))
         line = self._error_line(result, 2)
-        assert line.startswith("exsearch: error: SchemaError: line 1: a retrieved score")
+        assert line.startswith("exsearch: error: SchemaError: line 1: "
+                               "field 'score' must be a finite number")
         assert not (tmp_path / "w.jsonl").exists()
+
+    @staticmethod
+    def _main_error_line(capsys, argv) -> str:
+        code = main(argv)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2 and len(err) == 1
+        return err[0]
+
+    _TRAJECTORY = {"id": "e1/0", "question": "q", "answer": "a", "steps": []}
+    _WEIGHTED = {**_TRAJECTORY, "budget": 1, "terminated": True, "log_weight": 0.0,
+                 "weight": 0.5, "weight_mode": "reward-em"}
+
+    @pytest.mark.parametrize("command, fault, message", [
+        ("weigh", {"answer": 5}, "field 'answer' must be a string"),
+        ("weigh", {"id": 5}, "field 'id' must be a string"),
+        ("export-sft", {"answer": 5}, "field 'answer' must be a string"),
+        ("export-sft", {"id": 5}, "field 'id' must be a string"),
+        ("export-sft", {"terminated": "no"}, "field 'terminated' must be a boolean"),
+    ])
+    def test_ill_typed_record_field_exits_2(self, tmp_path, capsys, command, fault, message):
+        examples = tmp_path / "ex.jsonl"
+        trajectory.write_examples_jsonl(examples, [
+            trajectory.Example(id="e1", question="q", gold_answers=("a",))])
+        base = self._TRAJECTORY if command == "weigh" else self._WEIGHTED
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps(base) + "\n"
+                           + json.dumps({**base, "id": "e1/1", **fault}) + "\n")
+        source = (["--trajectories", str(records), "--mode", "reward-em"]
+                  if command == "weigh" else ["--weighted", str(records)])
+        line = self._main_error_line(capsys, [command, *source, "--examples", str(examples),
+                                              "--out", str(tmp_path / "out.jsonl")])
+        assert line == f"exsearch: error: SchemaError: line 2: {message}"
+        assert not (tmp_path / "out.jsonl").exists()
+
+    def test_weigh_on_bytes_that_are_not_utf8_exits_2(self, tmp_path, capsys):
+        examples = tmp_path / "ex.jsonl"
+        trajectory.write_examples_jsonl(examples, [
+            trajectory.Example(id="e1", question="q", gold_answers=("a",))])
+        trajs = tmp_path / "trajs.jsonl"
+        trajs.write_bytes(json.dumps(self._TRAJECTORY).encode() + b"\n"
+                          + b'{"id": "e1/1", "question": "q\xff", "steps": []}\n')
+        line = self._main_error_line(capsys, [
+            "weigh", "--trajectories", str(trajs), "--examples", str(examples),
+            "--mode", "reward-em", "--out", str(tmp_path / "w.jsonl")])
+        assert line == "exsearch: error: SchemaError: line 2: invalid UTF-8"
+
+    def test_explore_on_non_string_question_exits_2(self, world_dir, tmp_path, capsys):
+        examples = tmp_path / "ex.jsonl"
+        examples.write_text('{"id": "e1", "question": "q", "answers": ["a"]}\n'
+                            '{"id": "e2", "question": 5, "answers": ["a"]}\n')
+        line = self._main_error_line(capsys, [
+            "explore", "--examples", str(examples), "--policy", "tabular",
+            "--world", str(world_dir / "world.json"), "--out", str(tmp_path / "t.jsonl")])
+        assert line == "exsearch: error: SchemaError: line 2: field 'question' must be a string"
+
+    @pytest.mark.parametrize("record, message", [
+        ({"id": "e2", "answer": 5}, "field 'answer' must be a string"),
+        ({"id": ["e2"], "answer": "a"}, "field 'id' must be a string"),
+        ({"id": "e2", "answer": None}, "field 'answer' must be a string"),
+        ({"id": "e2"}, "record missing required field 'answer'"),
+    ], ids=["int-answer", "list-id", "null-answer", "missing-answer"])
+    def test_eval_on_ill_typed_prediction_exits_2(self, tmp_path, capsys, record, message):
+        dataset = tmp_path / "ex.jsonl"
+        trajectory.write_examples_jsonl(dataset, [
+            trajectory.Example(id=f"e{i}", question="q", gold_answers=("a",)) for i in (1, 2)])
+        predictions = tmp_path / "preds.jsonl"
+        predictions.write_text('{"id": "e1", "answer": "a"}\n' + json.dumps(record) + "\n")
+        line = self._main_error_line(capsys, ["eval", "--predictions", str(predictions),
+                                              "--dataset", str(dataset)])
+        assert line == f"exsearch: error: SchemaError: line 2: {message}"
 
     def test_unknown_llm_config_key_exits_1(self, world_dir, tmp_path):
         config = tmp_path / "engine.json"

@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from exsearch.trajectory import (
     RECORD,
     SEARCH,
     THINK,
+    WEIGHT_MODES,
     Example,
     ParsedStep,
     Passage,
@@ -27,6 +30,7 @@ from exsearch.trajectory import (
     read_citations,
     read_examples_jsonl,
     read_passages_jsonl,
+    read_predictions_jsonl,
     read_trajectories_jsonl,
     read_weighted_jsonl,
     render_parsed,
@@ -254,13 +258,20 @@ class TestJsonl:
         with pytest.raises(SchemaError, match="line 2"):
             read_passages_jsonl(path)
 
+    def test_integer_of_5000_digits_raises_schema_error(self, tmp_path):
+        path = tmp_path / "trajs.jsonl"
+        path.write_text('{"id": "x", "question": "q", "steps": [{"sub_query": "s", '
+                        '"evidence": "e", "retrieved": [{"id": "p", "score": '
+                        + "1" * 5000 + ', "rank": 1}]}]}\n')
+        with pytest.raises(SchemaError, match="line 1: "):
+            read_trajectories_jsonl(path)
+
     @pytest.mark.parametrize("field", ["id", "title", "text"])
     def test_non_string_passage_field_names_line(self, tmp_path, field):
         record = {"id": "p", "title": "t", "text": "x", field: 7}
         path = tmp_path / "passages.jsonl"
         path.write_text('{"id": "q", "title": "t", "text": "y"}\n' + json.dumps(record) + "\n")
-        with pytest.raises(SchemaError, match="line 2: passage id, title and text "
-                                              "must be strings"):
+        with pytest.raises(SchemaError, match=f"line 2: field '{field}' must be a string"):
             read_passages_jsonl(path)
 
     @pytest.mark.parametrize("field, value", [
@@ -295,8 +306,9 @@ class TestJsonl:
              "retrieved": [{"id": "p", "score": 1.0, "rank": 1, **fault}]}]}
         path = tmp_path / "trajs.jsonl"
         path.write_text(json.dumps(record) + "\n")
-        with pytest.raises(SchemaError, match="line 1: a retrieved score must be a "
-                                              "finite number and its rank an integer"):
+        field, = fault
+        kind = "a finite number" if field == "score" else "an integer"
+        with pytest.raises(SchemaError, match=f"line 1: field '{field}' must be {kind}"):
             read_trajectories_jsonl(path)
 
     @pytest.mark.parametrize("steps, field", [
@@ -442,3 +454,120 @@ def test_parse_recovers_what_render_wrote(drawn):
         for s in trajectory.steps]
     assert parsed.answer == (None if answer is None else answer.strip())
     assert parsed.skipped_lines == 0
+
+
+# --- reader fuzz: one field of a valid record replaced or deleted -----------
+
+_POOL = [None, True, False, 0, 3, -1, 10**400, 1.5, float("nan"), "", "x", "p2",
+         [], ["p1"], [1], [{}], {}, {"id": "p1"}]
+_DELETE = object()
+_PASSAGE = {"id": "p1", "title": "t", "text": "alpha", "source": "wiki"}
+_EXAMPLE = {"id": "e1", "question": "q", "answers": ["a"], "gold_passages": ["p1"],
+            "gold_subqueries": ["s"], "gold_evidences": ["v"], "split": "dev"}
+_TRAJECTORY = {"id": "e1/0", "question": "q", "steps": [
+    {"sub_query": "s", "retrieved": [{"id": "p1", "score": 2.0, "rank": 1},
+                                     {"id": "p2", "score": 1, "rank": 2}],
+     "selected": ["p2"], "evidence": "v"}], "answer": "a", "budget": 2, "terminated": True}
+_WEIGHTED = {**_TRAJECTORY, "log_weight": -0.5, "weight": 1.0, "weight_mode": "reward-em"}
+_PREDICTION = {"id": "e1", "answer": "a"}
+
+
+def _field_paths(record):
+    """The path of every field: top-level, of each step and of each retrieved item."""
+    paths = [(key,) for key in record]
+    for i, s in enumerate(record.get("steps", [])):
+        paths += [("steps", i, key) for key in s]
+        for j, item in enumerate(s["retrieved"]):
+            paths += [("steps", i, "retrieved", j, key) for key in item]
+    return paths
+
+
+@st.composite
+def _mutated(draw, record):
+    *parents, key = draw(st.sampled_from(_field_paths(record)))
+    value = draw(st.sampled_from(_POOL + [_DELETE]))
+    record = copy.deepcopy(record)
+    target = record
+    for part in parents:
+        target = target[part]
+    if value is _DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    return record
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "records.jsonl"
+
+
+def _read(reader, path, record):
+    """``reader``'s result on a file holding ``record``, or None when it
+    raises SchemaError; any other exception fails the test."""
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    try:
+        return reader(path)
+    except SchemaError:
+        return None
+
+
+def _strings(value):
+    return type(value) is tuple and all(type(v) is str for v in value)
+
+
+def _finite_float(value):
+    return type(value) is float and math.isfinite(value)
+
+
+def _assert_trajectory(t):
+    assert type(t.question) is str and type(t.terminated) is bool
+    assert type(t.budget) is int and len(t.steps) <= t.budget
+    for s in t.steps:
+        assert type(s.sub_query) is str and type(s.evidence) is str
+        assert s.selected is None or _strings(s.selected)
+        for sp in s.retrieved:
+            assert type(sp.passage_ref) is str and type(sp.rank) is int
+            assert _finite_float(sp.score)
+
+
+class TestReaderFuzz:
+    """Each JSONL reader returns fields of their documented types or raises
+    SchemaError, whatever one field of a valid record holds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_mutated(_PASSAGE))
+    def test_passages(self, fuzz_file, record):
+        for p in _read(read_passages_jsonl, fuzz_file, record) or ():
+            assert type(p.id) is str and type(p.title) is str and type(p.text) is str
+            assert type(p.extras) is dict
+
+    @settings(max_examples=150, deadline=None)
+    @given(_mutated(_EXAMPLE))
+    def test_examples(self, fuzz_file, record):
+        for e in _read(read_examples_jsonl, fuzz_file, record) or ():
+            assert type(e.id) is str and type(e.question) is str and _strings(e.gold_answers)
+            for golds in (e.gold_passages, e.gold_subqueries, e.gold_evidences):
+                assert golds is None or _strings(golds)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mutated(_TRAJECTORY))
+    def test_trajectories(self, fuzz_file, record):
+        for rec in _read(read_trajectories_jsonl, fuzz_file, record) or ():
+            assert type(rec.id) is str and (rec.answer is None or type(rec.answer) is str)
+            _assert_trajectory(rec.trajectory)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mutated(_WEIGHTED))
+    def test_weighted(self, fuzz_file, record):
+        for rec_id, wt in _read(read_weighted_jsonl, fuzz_file, record) or ():
+            assert type(rec_id) is str and type(wt.answer) is str
+            assert _finite_float(wt.log_weight) and _finite_float(wt.weight)
+            assert wt.weight_mode in WEIGHT_MODES
+            _assert_trajectory(wt.trajectory)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_mutated(_PREDICTION))
+    def test_predictions(self, fuzz_file, record):
+        for pred_id, answer in (_read(read_predictions_jsonl, fuzz_file, record) or {}).items():
+            assert type(pred_id) is str and type(answer) is str
