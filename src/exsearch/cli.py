@@ -25,12 +25,14 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import typing
 from pathlib import Path
 
 from . import agent, llm, metrics, retrieval, synth, training, trajectory
-from .errors import EndpointError, ExsearchError, LogprobsUnsupported, UnknownId
+from .errors import (EndpointError, ExsearchError, InconsistentWeights, LogprobsUnsupported,
+                     UnknownId)
 from .policy import TabularPolicy, TabularPolicyParams
 
 EXIT_OK = 0
@@ -381,6 +383,13 @@ def cmd_export_sft(args, config: dict) -> int:
     examples = trajectory.read_examples_jsonl(args.examples)
     weighted = trajectory.read_weighted_jsonl(args.weighted)
     by_id, groups = _group_by_example(weighted, examples)
+    for ex_id, group in groups.items():
+        modes = sorted({wt.weight_mode for _s, _rid, wt in group})
+        if len(modes) > 1:
+            raise InconsistentWeights(f"example {ex_id!r} mixes weight modes {modes}")
+        total = math.fsum(wt.weight for _s, _rid, wt in group)
+        if group and abs(total - 1.0) > 1e-9:
+            raise InconsistentWeights(f"weights of example {ex_id!r} sum to {total!r}, not 1")
     # by (example id, sample index), each under its weighted record's id
     rows = [training.sft_record(rid, by_id[ex_id], wt)
             for ex_id in sorted(groups) for _s, rid, wt in groups[ex_id]]

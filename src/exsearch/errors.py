@@ -27,6 +27,11 @@ class SchemaError(DataError):
         self.line = line
 
 
+class InconsistentWeights(DataError):
+    """The records of one example in a weighted file mix weight modes, or
+    their normalized weights do not sum to 1."""
+
+
 class MalformedAction(DataError):
     """A transcript action tag appeared without a usable payload."""
 

@@ -26,16 +26,18 @@ skipped. Status lines and headers longer than 65,536 bytes, more than 100
 headers, and malformed or truncated replies raise
 :class:`http.client.HTTPException` subclasses, retried like transport errors.
 Connections stay open (HTTP/1.1 keep-alive), one per request in flight, and
-are reused by the next request from any thread; one the server has closed
-while idle, asked to close, or sent more bytes than its reply, is reopened
-before use. Proxies come from the environment (``http_proxy``,
+are reused by the next request from any thread; each thread sends one request
+at a time, so the caller's worker threads (``--jobs``) bound both. One the
+server has closed while idle, asked to close, or sent more bytes than its
+reply, is reopened before use. Proxies come from the environment (``http_proxy``,
 ``https_proxy``, ``no_proxy``), resolved once per client.
 
 A trailing assistant message is treated as a prefix the model continues.
 ``score_completion`` requests per-token log-probabilities of the given text
 conditioned on the messages; servers without log-probability support simply
 omit the ``logprobs`` field (or send null), which surfaces as
-LogprobsUnsupported here. A reply of any other shape than the one above,
+LogprobsUnsupported here; the first scoring request settles this, and a
+negative answer is cached. A reply of any other shape than the one above,
 including a log-probability that is not a finite number, raises
 EndpointError.
 
@@ -150,8 +152,6 @@ class EndpointConfig:
     api_key_env: str = DEFAULT_API_KEY_ENV
     timeout: float = 30.0
     max_retries: int = 3
-    parallelism_cap: int = 4
-    supports_logprobs: str = "probe"  # yes | no | probe
     backoff_base: float = 1.0
 
     def __post_init__(self):
@@ -170,19 +170,14 @@ class EndpointConfig:
             value = getattr(self, name)
             if not finite_real(value):
                 raise ValueError(f"{name} must be a finite number")
-        for name in ("max_retries", "parallelism_cap"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer")
+        if type(self.max_retries) is not int:
+            raise ValueError("max_retries must be an integer")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
         if self.backoff_base < 0:
             raise ValueError("backoff_base must be >= 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.parallelism_cap < 1:
-            raise ValueError("parallelism_cap must be >= 1")
-        if self.supports_logprobs not in ("yes", "no", "probe"):
-            raise ValueError("supports_logprobs must be yes, no or probe")
 
 
 class _ConnectFailed(OSError):
@@ -390,19 +385,21 @@ def _environment_proxy(scheme: str, origin: str) -> tuple[tuple[str, int] | None
 
 
 class HttpChatClient:
-    """Thread-safe chat-completion client with bounded parallelism.
+    """Thread-safe chat-completion client.
 
     Requests go over kept-alive connections, one per request in flight and
-    reused by whichever thread sends next; they are closed when the client
-    is garbage-collected. The target URL, the proxy and the TLS context are
+    reused by whichever thread sends next, so there are at most as many as
+    threads calling the client; they are closed when the client is
+    garbage-collected. The target URL, the proxy and the TLS context are
     resolved once, here.
 
     Retries transport errors and HTTP 429/5xx with exponential backoff
     (factor 2 plus jitter) up to ``max_retries``; 401/403 raise AuthError
     immediately and are never retried. A request whose every attempt failed
     to connect marks the client unreachable: each later request raises
-    EndpointError at once, without network I/O or backoff. The resolved
-    log-probability capability is cached write-once after the first probe.
+    EndpointError at once, without network I/O or backoff. Whether the
+    endpoint reports log-probabilities is settled by the first scoring
+    request (one thread probes while the others wait) and cached write-once.
     """
 
     def __init__(self, config: EndpointConfig):
@@ -432,15 +429,12 @@ class HttpChatClient:
         self._request_tail = b"".join(
             b"\r\n%s: %s" % (name.encode("ascii"), _header_value(value))
             for name, value in headers.items()) + b"\r\n\r\n"
-        # At most parallelism_cap connections exist: one per request in flight.
+        # One connection per request in flight: at most one per calling thread.
         self._idle: list[_Connection] = []
         weakref.finalize(self, _close_all, self._idle)
-        self._slots = threading.BoundedSemaphore(config.parallelism_cap)
         self._probe_lock = threading.Lock()
         self._unreachable: str | None = None
-        self._logprobs_ok: bool | None = {
-            "yes": True, "no": False, "probe": None
-        }[config.supports_logprobs]
+        self._logprobs_ok: bool | None = None  # settled by the first scoring request
 
     def _api_key(self) -> str:
         key = os.environ.get(self.config.api_key_env)
@@ -507,8 +501,7 @@ class HttpChatClient:
                 delay = self.config.backoff_base * (2 ** (attempt - 1))
                 time.sleep(delay * (1.0 + 0.1 * random.random()))
             try:
-                with self._slots:
-                    status, data = self._send(request)
+                status, data = self._send(request)
             except TimeoutError as exc:
                 last_error, timed_out = exc, True
                 continue
@@ -579,7 +572,8 @@ class HttpChatClient:
 
     def _ensure_logprobs(self, turns: Sequence[ChatTurn], target: str) -> list[float]:
         if self._logprobs_ok is False:
-            raise LogprobsUnsupported("endpoint is configured without logprobs support")
+            raise LogprobsUnsupported(
+                f"endpoint {self.config.base_url} reports no token log-probabilities")
         if self._logprobs_ok is None:
             with self._probe_lock:
                 if self._logprobs_ok is None:
@@ -597,7 +591,7 @@ class HttpChatClient:
         """Sum of token log-probs of ``y`` after the answer prefix of the
         rendered transcript, as :meth:`ChatEpisode.answer` generates it."""
         turns = chat_turns(question, _answer_prefix(trajectory))
-        return sum(self._ensure_logprobs(turns, y))
+        return sum(self._ensure_logprobs(turns, y), 0.0)  # a float, also for no tokens
 
 
 class ChatPolicy:

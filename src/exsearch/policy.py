@@ -54,7 +54,8 @@ import numpy as np
 from .agent import rank_documents
 from .errors import EnumerationTooLarge, NoDocuments, UnrealizableTrajectory
 from .retrieval import Retriever, tokenize
-from .trajectory import Example, Passage, Step, Trajectory, read_json_file
+from .trajectory import (_INT, _MATRIX, _REAL, _REALS, Example, Passage, Step, Trajectory,
+                         _field, read_json_file)
 
 LOG_FLOOR = -1e9
 ABSTAIN = "ABSTAIN"
@@ -138,17 +139,17 @@ class TabularPolicyParams:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TabularPolicyParams":
-        if d.get("version") != PARAMS_VERSION:
-            raise ValueError(f"unsupported params version {d.get('version')!r} "
+        version = _field(d, "version", _INT, None, None)
+        if version != PARAMS_VERSION:
+            raise ValueError(f"unsupported params version {version!r} "
                              f"(this build reads version {PARAMS_VERSION})")
-        if d.get("temperature", 1.0) != 1.0:
-            raise ValueError(f"temperature {d['temperature']!r} is not supported "
+        temperature = _field(d, "temperature", _REAL, None, 1.0)
+        if temperature != 1.0:
+            raise ValueError(f"temperature {temperature!r} is not supported "
                              "(this build reads temperature 1.0 only)")
-        return cls(
-            think_logits=np.asarray(d["think_logits"], dtype=float),
-            record_logits=np.asarray(d["record_logits"], dtype=float),
-            answer_logits=np.asarray(d["answer_logits"], dtype=float),
-        )
+        return cls(think_logits=_field(d, "think_logits", _MATRIX, None),
+                   record_logits=_field(d, "record_logits", _REALS, None),
+                   answer_logits=_field(d, "answer_logits", _REALS, None))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

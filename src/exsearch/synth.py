@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InfeasibleWorld
-from .trajectory import Example, Passage, read_json_file
+from .trajectory import _INT, _STRINGS, _TRIPLES, Example, Passage, _field, read_json_file
 
 
 @dataclass(frozen=True)
@@ -197,11 +197,11 @@ def world_to_dict(world: SyntheticWorld) -> dict:
 
 def world_from_dict(d: dict) -> SyntheticWorld:
     return SyntheticWorld(
-        entities=tuple(d["entities"]),
-        relations=tuple(d["relations"]),
-        facts=tuple((s, r, o) for s, r, o in d["facts"]),
-        hop_count=int(d["hop_count"]),
-        seed=int(d["seed"]),
+        entities=_field(d, "entities", _STRINGS, None),
+        relations=_field(d, "relations", _STRINGS, None),
+        facts=_field(d, "facts", _TRIPLES, None),
+        hop_count=_field(d, "hop_count", _INT, None),
+        seed=_field(d, "seed", _INT, None),
     )
 
 

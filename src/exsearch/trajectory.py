@@ -373,6 +373,16 @@ _STRINGS = ("a list of strings", lambda v: tuple(v) if isinstance(v, list)
             and all(isinstance(x, str) for x in v) else _BAD)
 _OBJECTS = ("a list of objects", lambda v: v if isinstance(v, list)
             and all(isinstance(x, dict) for x in v) else _BAD)
+# the JSON files' kinds: a params file's logits and a world manifest's facts
+_REALS = ("a list of finite numbers", lambda v: v if isinstance(v, list)
+          and all(finite_real(x) for x in v) else _BAD)
+_MATRIX = ("a list of equally long lists of finite numbers", lambda v: v
+           if isinstance(v, list) and all(_REALS[1](row) is not _BAD for row in v)
+           and len({len(row) for row in v}) <= 1 else _BAD)
+_TRIPLES = ("a list of [subject, relation, object] string triples",
+            lambda v: tuple(map(tuple, v)) if isinstance(v, list) and all(
+                isinstance(f, list) and len(f) == 3 and all(isinstance(x, str) for x in f)
+                for f in v) else _BAD)
 
 
 def _field(d: dict, name: str, kind: tuple, line: int | None, default=_REQUIRED):
@@ -549,18 +559,17 @@ def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
 
 
 def read_json_file(path, parse):
-    """``parse`` of the JSON object stored at ``path``. Invalid JSON, a value
-    that is not an object and any KeyError, TypeError or ValueError of
-    ``parse`` raise MalformedFile naming the path."""
+    """``parse`` of the JSON object stored at ``path``, which reads its
+    fields with :func:`_field`. Invalid JSON, a value that is not an object
+    and any SchemaError or ValueError of ``parse`` raise MalformedFile
+    naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             d = json.load(fh)
         if not isinstance(d, dict):
             raise ValueError("not a JSON object")
         return parse(d)
-    except KeyError as exc:
-        raise MalformedFile(f"{path}: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (SchemaError, ValueError) as exc:
         raise MalformedFile(f"{path}: {exc}") from exc
 
 

@@ -1,7 +1,9 @@
+import copy
 import string
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from exsearch import agent, retrieval, synth
 from exsearch.policy import LOG_FLOOR, TabularPolicy, TabularPolicyParams, logsumexp, softmax
@@ -145,3 +147,34 @@ def tiny_wiki_corpus() -> list[Passage]:
 
 def default_agent(budget: int = 5, k: int = 3, **kw) -> agent.AgentConfig:
     return agent.AgentConfig(budget=budget, k=k, **kw)
+
+
+# --- reader fuzz: one field or list item of a valid document replaced or deleted
+
+FUZZ_POOL = [None, True, False, 0, 3, -1, 10**400, 1.5, float("nan"), "", "x", "p2",
+             [], ["p1"], [1], [{}], {}, {"id": "p1"}]
+_DELETE = object()
+
+
+def _field_paths(value, path=()):
+    """The path of every field and list item of ``value``, at any depth."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    return [p for key, item in items for p in [(*path, key), *_field_paths(item, (*path, key))]]
+
+
+@st.composite
+def mutated(draw, document):
+    """``document`` with one field or list item, at any depth, replaced by a
+    value of FUZZ_POOL or deleted."""
+    *parents, key = draw(st.sampled_from(_field_paths(document)))
+    value = draw(st.sampled_from(FUZZ_POOL + [_DELETE]))
+    document = copy.deepcopy(document)
+    target = document
+    for part in parents:
+        target = target[part]
+    if value is _DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    return document

@@ -382,7 +382,8 @@ class TestPipelineComposition:
 
     def test_explore_jobs_agree_over_shared_kept_alive_connections(self, tmp_path, capsys):
         """Workers share the client's kept-alive connections, and the stub
-        serves their requests at once: --jobs 4 writes what --jobs 1 does."""
+        serves their requests at once: --jobs 4 and 8 write what --jobs 1
+        does."""
         out, index_dir = tmp_path / "world", tmp_path / "idx"
         assert main(["synth-world", "--entities", "15", "--relations", "2",
                      "--hops", "2", "--density", "1.0", "--questions", "6",
@@ -398,14 +399,15 @@ class TestPipelineComposition:
                 "llm": {"base_url": server.base_url, "model_name": "stub",
                         "backoff_base": 0.01},
                 "retriever": {"index": str(index_dir)}}))
-            for jobs in ("1", "4"):
+            for jobs in ("1", "4", "8"):
                 assert main(["explore", "--examples", str(out / "examples.jsonl"),
                              "--policy", "llm", "--config", str(config),
                              "--samples", "2", "--budget", "3", "--jobs", jobs,
                              "--out", str(tmp_path / f"trajs{jobs}.jsonl")]) == 0
         capsys.readouterr()
-        assert ((tmp_path / "trajs4.jsonl").read_bytes()
-                == (tmp_path / "trajs1.jsonl").read_bytes())
+        expected = (tmp_path / "trajs1.jsonl").read_bytes()
+        for jobs in ("4", "8"):
+            assert (tmp_path / f"trajs{jobs}.jsonl").read_bytes() == expected
 
 
     def test_sft_records_carry_the_policys_prompt(self, tmp_path, capsys):
@@ -758,6 +760,14 @@ class TestTypedInputErrors:
         pytest.param({"llm": {"base_url": "http://127.0.0.1:9", "model_name": "stub",
                               "tmeout": 3}},
                      "unknown key in the [llm] config section: tmeout", id="unknown-llm-key"),
+        pytest.param({"llm": {"base_url": "http://127.0.0.1:9", "model_name": "stub",
+                              "parallelism_cap": 4}},
+                     "unknown key in the [llm] config section: parallelism_cap",
+                     id="llm-parallelism-cap"),
+        pytest.param({"llm": {"base_url": "http://127.0.0.1:9", "model_name": "stub",
+                              "supports_logprobs": "probe"}},
+                     "unknown key in the [llm] config section: supports_logprobs",
+                     id="llm-supports-logprobs"),
         pytest.param({"trainer": "fast"}, "the [trainer] config section must be a table",
                      id="string-trainer-section"),
     ])
@@ -811,11 +821,13 @@ class TestTypedInputErrors:
         assert received == []
 
     @pytest.mark.parametrize("kind, edit, message", [
-        pytest.param("world", lambda d: d.pop("relations"), "missing field 'relations'",
+        pytest.param("world", lambda d: d.pop("relations"),
+                     "missing required field 'relations'",
                      id="world-without-relations"),
         pytest.param("world", None, "Expecting", id="world-not-json"),
         pytest.param("params", lambda d: d.pop("record_logits"),
-                     "missing field 'record_logits'", id="params-without-record-logits"),
+                     "missing required field 'record_logits'",
+                     id="params-without-record-logits"),
         pytest.param("params", None, "Expecting", id="params-not-json"),
         pytest.param("params", lambda d: d.update(version=2),
                      "unsupported params version 2", id="params-version-2"),
@@ -839,6 +851,75 @@ class TestTypedInputErrors:
         line = self._error_line(result, 2)
         assert line.startswith(f"exsearch: error: MalformedFile: {bad}: ")
         assert message in line
+
+    _LOGITS = "a list of finite numbers"
+    _MATRIX = "a list of equally long lists of finite numbers"
+
+    @pytest.mark.parametrize("kind, field, value, message", [
+        ("params", "record_logits", True, _LOGITS),
+        ("params", "record_logits", [[0.0, 0.0, 0.0]], _LOGITS),
+        ("params", "answer_logits", ["0", "0"], _LOGITS),
+        ("params", "answer_logits", [10**400, 0], _LOGITS),
+        ("params", "think_logits", [["0"] * 4] * 3, _MATRIX),
+        ("params", "think_logits", [[0.0] * 4, [0.0] * 3, [0.0] * 4], _MATRIX),
+        ("params", "version", True, "an integer"),
+        ("world", "relations", "rel", "a list of strings"),
+        ("world", "facts", [["ent0", "rel0"]], "a list of [subject, relation, object]"),
+        ("world", "hop_count", True, "an integer"),
+        ("world", "hop_count", 2.9, "an integer"),
+        ("world", "seed", "7", "an integer"),
+    ], ids=["params-bool-record-logits", "params-2d-record-logits", "params-string-logits",
+            "params-huge-logit", "params-string-matrix", "params-ragged-matrix",
+            "params-bool-version", "world-string-relations", "world-pair-fact",
+            "world-bool-hop-count", "world-float-hop-count", "world-string-seed"])
+    def test_ill_typed_json_file_field_exits_2(self, world_dir, tmp_path, kind, field,
+                                               value, message):
+        """``ask --params`` on a bad params file and ``train --world`` on a bad
+        world manifest name the path and the field on one line."""
+        if kind == "params":
+            d = TabularPolicyParams.uniform(3, 2, 3).to_json_dict()
+        else:
+            d = json.loads((world_dir / "world.json").read_text())
+        bad = tmp_path / f"bad-{kind}.json"
+        bad.write_text(json.dumps({**d, field: value}))
+        if kind == "params":
+            result = run_cli("ask", "--question", "ent0 rel0",
+                             "--world", str(world_dir / "world.json"), "--params", str(bad))
+        else:
+            result = run_cli("train", "--world", str(bad),
+                             "--examples", str(world_dir / "examples.jsonl"),
+                             "--params-out", str(tmp_path / "p.json"),
+                             "--history", str(tmp_path / "h.csv"))
+        line = self._error_line(result, 2)
+        assert line.startswith(f"exsearch: error: MalformedFile: {bad}: field {field!r} "
+                               f"must be {message}")
+        assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("records, message", [
+        ([(0.7, "reward-em"), (0.7, "reward-f1")],
+         "example 'e1' mixes weight modes ['reward-em', 'reward-f1']"),
+        ([(0.5, "reward-em"), (0.5, "reward-acc")],
+         "example 'e1' mixes weight modes ['reward-acc', 'reward-em']"),
+        ([(0.7, "reward-em"), (0.7, "reward-em")],
+         "weights of example 'e1' sum to 1.4, not 1"),
+        ([(0.5, "reward-em"), (0.5 + 1e-8, "reward-em")],
+         "weights of example 'e1' sum to 1.00000001, not 1"),
+    ], ids=["mixed-modes-over-1", "mixed-modes", "sum-1.4", "sum-off-by-1e-8"])
+    def test_export_sft_on_inconsistent_weights_exits_2(self, tmp_path, capsys, records,
+                                                         message):
+        examples = tmp_path / "ex.jsonl"
+        trajectory.write_examples_jsonl(examples, [
+            trajectory.Example(id=f"e{i}", question="q", gold_answers=("a",)) for i in (1, 2)])
+        weighted = tmp_path / "w.jsonl"
+        weighted.write_text(json.dumps({**self._WEIGHTED, "id": "e2/0", "weight": 1.0}) + "\n"
+                            + "".join(json.dumps({**self._WEIGHTED, "id": f"e1/{i}",
+                                                  "weight": w, "weight_mode": mode}) + "\n"
+                                      for i, (w, mode) in enumerate(records)))
+        line = self._main_error_line(capsys, ["export-sft", "--weighted", str(weighted),
+                                              "--examples", str(examples),
+                                              "--out", str(tmp_path / "sft.jsonl")])
+        assert line == f"exsearch: error: InconsistentWeights: {message}"
+        assert not (tmp_path / "sft.jsonl").exists()
 
 
 # (config section, field) for every setting train reads from a config file

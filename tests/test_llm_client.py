@@ -1,5 +1,7 @@
+import contextlib
 import http.client
 import json
+import math
 import os
 import socket
 import subprocess
@@ -10,7 +12,9 @@ import urllib.parse
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import mutated
 from exsearch.errors import AuthError, EndpointError, LogprobsUnsupported, Timeout
 from exsearch.llm import (
     ChatTurn,
@@ -280,18 +284,22 @@ class TestComplete:
                 client.complete([ChatTurn("user", "u")], [])
         assert len(statuses) == 1
 
-    def test_parallelism_cap_is_respected(self):
-        # The stub runs its behavior under a lock, so requests in flight are
-        # counted in the handler: from a parsed request to its response,
-        # whose first byte the client cannot read before send_response.
+    def test_requests_in_flight_reach_the_number_of_threads(self):
+        # Requests in flight are counted in the handler: from a parsed
+        # request to its response, whose first byte the client cannot read
+        # before send_response. Each reply waits until every thread's request
+        # has arrived, so the peak is reached unless something caps it.
+        n_threads = 8
         active = {"now": 0, "peak": 0}
         lock = threading.Lock()
+        all_arrived = threading.Event()
 
         def behavior(request):
-            time.sleep(0.05)  # time for every uncapped request to arrive
-            return 200, {"choices": [{"message": {"content": "x"}}]}
+            all_arrived.wait(timeout=5)
+            return 200, chat_response("x")
 
         server = StubChatServer(behavior)
+        server._lock = contextlib.nullcontext()  # the behavior keeps no state
         handler = server._server.RequestHandlerClass
         parse, respond = handler.parse_request, handler.send_response
 
@@ -299,6 +307,8 @@ class TestComplete:
             with lock:
                 active["now"] += 1
                 active["peak"] = max(active["peak"], active["now"])
+                if active["now"] == n_threads:
+                    all_arrived.set()
             return parse(h)
 
         def send_response(h, *args):
@@ -308,21 +318,22 @@ class TestComplete:
 
         handler.parse_request, handler.send_response = parse_request, send_response
         with server:
-            client = HttpChatClient(make_config(server, parallelism_cap=2))
+            client = HttpChatClient(make_config(server))
             threads = [threading.Thread(
                 target=lambda: client.complete([ChatTurn("user", "u")], []))
-                for _ in range(6)]
+                for _ in range(n_threads)]
             for t in threads:
                 t.start()
             for t in threads:
-                t.join(timeout=10)
+                t.join(timeout=30)
         assert not any(t.is_alive() for t in threads)
-        assert active["peak"] <= 2
+        assert active["peak"] == n_threads
 
-    def test_threads_share_at_most_cap_kept_alive_connections(self):
+    def test_threads_keep_at_most_one_connection_alive_each(self):
         def echo(request):
             return 200, chat_response(request["messages"][-1]["content"])
 
+        n_threads = 8
         server = StubChatServer(echo)
         server._server.RequestHandlerClass.protocol_version = "HTTP/1.1"
         accepted = []
@@ -344,18 +355,19 @@ class TestComplete:
         sys.setswitchinterval(1e-5)
         try:
             with server:
-                client = HttpChatClient(make_config(server, parallelism_cap=3))
+                client = HttpChatClient(make_config(server))
                 threads = [threading.Thread(target=worker, args=(client, t))
-                           for t in range(8)]
+                           for t in range(n_threads)]
                 for t in threads:
                     t.start()
                 for t in threads:
                     t.join(timeout=60)
                 assert not any(t.is_alive() for t in threads)
+                assert len(client._idle) <= n_threads
         finally:
             sys.setswitchinterval(interval)
         assert wrong == []
-        assert 1 <= len(accepted) <= 3
+        assert 1 <= len(accepted) <= n_threads
 
 
 class TestExchange:
@@ -468,14 +480,14 @@ class TestScoring:
                    "logprobs": [{"token": "four", "logprob": -0.1},
                                 {"token": "times", "logprob": -0.2}]}]
         with StubChatServer(ScriptedBehavior(script)) as server:
-            client = HttpChatClient(make_config(server, supports_logprobs="yes"))
+            client = HttpChatClient(make_config(server))
             got = client.score_answer_logprob("alpha rel", simple_trajectory(),
                                               "four times")
         assert got == pytest.approx(-0.3)
 
     def test_backend_without_logprobs_raises(self):
         with StubChatServer(ChainOracleBehavior(logprobs_enabled=False)) as server:
-            client = HttpChatClient(make_config(server, supports_logprobs="probe"))
+            client = HttpChatClient(make_config(server))
             with pytest.raises(LogprobsUnsupported):
                 client.score_answer_logprob("alpha rel", simple_trajectory(), "x")
 
@@ -488,26 +500,17 @@ class TestScoring:
             return oracle(request)
 
         with StubChatServer(behavior) as server:
-            client = HttpChatClient(make_config(server, supports_logprobs="probe"))
+            client = HttpChatClient(make_config(server))
             for _ in range(3):
                 with pytest.raises(LogprobsUnsupported):
                     client.score_answer_logprob("alpha rel", simple_trajectory(), "x")
         assert len(calls) == 1
 
-    def test_configured_no_never_calls_endpoint(self):
-        def behavior(request):
-            raise AssertionError("must not be called")
-
-        with StubChatServer(behavior) as server:
-            client = HttpChatClient(make_config(server, supports_logprobs="no"))
-            with pytest.raises(LogprobsUnsupported):
-                client.score_answer_logprob("alpha rel", simple_trajectory(), "x")
-
     def test_longer_answer_never_scores_above_its_prefix(self):
         table = {"alpha": -0.4, "beta": -1.1, "gamma": -0.2}
         oracle = ChainOracleBehavior(logprob_table=table, default_logprob=-0.5)
         with StubChatServer(oracle) as server:
-            client = HttpChatClient(make_config(server, supports_logprobs="yes"))
+            client = HttpChatClient(make_config(server))
             words = ["alpha", "beta", "gamma", "delta"]
             scores = [client.score_answer_logprob("alpha rel", simple_trajectory(),
                                                   " ".join(words[:n]))
@@ -557,13 +560,13 @@ class TestMalformedReplies:
         body = {"choices": [{"message": {"role": "assistant", "content": "x"},
                              "logprobs": logprobs}]}
         with StubChatServer(serving(body)) as server:
-            client = HttpChatClient(make_config(server, supports_logprobs="yes"))
+            client = HttpChatClient(make_config(server))
             with pytest.raises(EndpointError):
                 client.score_answer_logprob("alpha rel", simple_trajectory(), "x")
 
     def test_score_of_a_non_object_message(self):
         with StubChatServer(serving({"choices": [{"message": "oops"}]})) as server:
-            client = HttpChatClient(make_config(server, supports_logprobs="yes"))
+            client = HttpChatClient(make_config(server))
             with pytest.raises(EndpointError):
                 client.score_answer_logprob("alpha rel", simple_trajectory(), "x")
 
@@ -571,16 +574,51 @@ class TestMalformedReplies:
         body = {"choices": [{"message": {"role": "assistant", "content": "x"},
                              "logprobs": None}]}
         with StubChatServer(serving(body)) as server:
-            client = HttpChatClient(make_config(server, supports_logprobs="yes"))
+            client = HttpChatClient(make_config(server))
             with pytest.raises(LogprobsUnsupported):
                 client.score_answer_logprob("alpha rel", simple_trajectory(), "x")
+
+    _REPLY = {"choices": [{"message": {"role": "assistant", "content": "x y"},
+                           "logprobs": {"content": [{"token": "x", "logprob": -1.0},
+                                                    {"token": "y", "logprob": -0.5}]}}]}
+
+    @pytest.fixture(scope="class")
+    def reply_server(self):
+        with StubChatServer(serving(self._REPLY)) as server:
+            yield server
+
+    @settings(max_examples=60, deadline=None)
+    @given(mutated(_REPLY))
+    def test_fuzz(self, reply_server, body):
+        """Whatever one field or list item of a valid reply holds, ``complete``
+        returns a string and scoring a finite float, or they raise the
+        documented errors."""
+        reply_server.behavior = serving(body)
+        client = HttpChatClient(make_config(reply_server, max_retries=0))
+        try:
+            assert type(client.complete([ChatTurn("user", "q")], [])) is str
+        except EndpointError:
+            pass
+        try:
+            score = client.score_answer_logprob("alpha rel", simple_trajectory(), "x y")
+        except (EndpointError, LogprobsUnsupported):
+            return
+        assert type(score) is float and math.isfinite(score)
+
+    def test_no_scored_tokens_score_a_float(self):
+        body = {"choices": [{"message": {"role": "assistant", "content": ""},
+                             "logprobs": {"content": []}}]}
+        with StubChatServer(serving(body)) as server:
+            client = HttpChatClient(make_config(server))
+            score = client.score_answer_logprob("alpha rel", simple_trajectory(), "")
+        assert type(score) is float and score == 0.0
 
     def test_logprobs_on_the_message_are_read(self):
         items = [{"token": "x", "logprob": -1}, {"token": "y", "logprob": -0.5}]
         body = {"choices": [{"message": {"role": "assistant", "content": "x y",
                                          "logprobs": {"content": items}}}]}
         with StubChatServer(serving(body)) as server:
-            client = HttpChatClient(make_config(server, supports_logprobs="yes"))
+            client = HttpChatClient(make_config(server))
             assert client.score_answer_logprob("alpha rel", simple_trajectory(),
                                                "x y") == -1.5
 
@@ -600,8 +638,6 @@ class TestEndpointConfig:
         ("backoff_base", -1.0),
         ("max_retries", 2.0),
         ("max_retries", -1),
-        ("parallelism_cap", "4"),
-        ("parallelism_cap", 0),
     ])
     def test_rejects_ill_typed_or_out_of_range_values(self, field, value):
         kw = {"base_url": "http://127.0.0.1:9/v1", "model_name": "stub", field: value}

@@ -676,7 +676,7 @@ class TestLogprobsFallback:
         config = TrainConfig(samples_per_example=2, weight_mode="posterior-logprob")
         with StubChatServer(FirstScoreOnly()) as server:
             endpoint = EndpointConfig(base_url=server.base_url, model_name="stub",
-                                      backoff_base=0.01, supports_logprobs="yes")
+                                      backoff_base=0.01)
             policy = ChatPolicy(HttpChatClient(endpoint))
             batches = e_step(questions, policy, retriever, config,
                              AgentConfig(budget=3, k=3), seed=0)

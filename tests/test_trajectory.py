@@ -1,4 +1,3 @@
-import copy
 import json
 import math
 from pathlib import Path
@@ -8,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_trajectory
-from exsearch.errors import MalformedAction, SchemaError
+from conftest import mutated, random_trajectory
+from exsearch.errors import MalformedAction, MalformedFile, SchemaError
+from exsearch.policy import TabularPolicyParams
+from exsearch.synth import load_world
 from exsearch.trajectory import (
     FINAL,
     RECORD,
@@ -458,9 +459,6 @@ def test_parse_recovers_what_render_wrote(drawn):
 
 # --- reader fuzz: one field of a valid record replaced or deleted -----------
 
-_POOL = [None, True, False, 0, 3, -1, 10**400, 1.5, float("nan"), "", "x", "p2",
-         [], ["p1"], [1], [{}], {}, {"id": "p1"}]
-_DELETE = object()
 _PASSAGE = {"id": "p1", "title": "t", "text": "alpha", "source": "wiki"}
 _EXAMPLE = {"id": "e1", "question": "q", "answers": ["a"], "gold_passages": ["p1"],
             "gold_subqueries": ["s"], "gold_evidences": ["v"], "split": "dev"}
@@ -470,31 +468,10 @@ _TRAJECTORY = {"id": "e1/0", "question": "q", "steps": [
      "selected": ["p2"], "evidence": "v"}], "answer": "a", "budget": 2, "terminated": True}
 _WEIGHTED = {**_TRAJECTORY, "log_weight": -0.5, "weight": 1.0, "weight_mode": "reward-em"}
 _PREDICTION = {"id": "e1", "answer": "a"}
-
-
-def _field_paths(record):
-    """The path of every field: top-level, of each step and of each retrieved item."""
-    paths = [(key,) for key in record]
-    for i, s in enumerate(record.get("steps", [])):
-        paths += [("steps", i, key) for key in s]
-        for j, item in enumerate(s["retrieved"]):
-            paths += [("steps", i, "retrieved", j, key) for key in item]
-    return paths
-
-
-@st.composite
-def _mutated(draw, record):
-    *parents, key = draw(st.sampled_from(_field_paths(record)))
-    value = draw(st.sampled_from(_POOL + [_DELETE]))
-    record = copy.deepcopy(record)
-    target = record
-    for part in parents:
-        target = target[part]
-    if value is _DELETE:
-        del target[key]
-    else:
-        target[key] = value
-    return record
+_PARAMS = {"think_logits": [[0.5, -1.0, 2.0], [0, 1, 0]], "record_logits": [0.25, -1],
+           "answer_logits": [1.0, -1.0], "temperature": 1.0, "version": 1}
+_WORLD = {"entities": ["e0", "e1", "e2"], "relations": ["r0", "r1"],
+          "facts": [["e0", "r0", "e1"], ["e1", "r1", "e2"]], "hop_count": 2, "seed": 7}
 
 
 @pytest.fixture(scope="module")
@@ -502,13 +479,13 @@ def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "records.jsonl"
 
 
-def _read(reader, path, record):
+def _read(reader, path, record, error=SchemaError):
     """``reader``'s result on a file holding ``record``, or None when it
-    raises SchemaError; any other exception fails the test."""
+    raises ``error``; any other exception fails the test."""
     path.write_text(json.dumps(record) + "\n", encoding="utf-8")
     try:
         return reader(path)
-    except SchemaError:
+    except error:
         return None
 
 
@@ -533,17 +510,18 @@ def _assert_trajectory(t):
 
 class TestReaderFuzz:
     """Each JSONL reader returns fields of their documented types or raises
-    SchemaError, whatever one field of a valid record holds."""
+    SchemaError, and each JSON-file reader does or raises MalformedFile,
+    whatever one field or list item of a valid record holds."""
 
     @settings(max_examples=150, deadline=None)
-    @given(_mutated(_PASSAGE))
+    @given(mutated(_PASSAGE))
     def test_passages(self, fuzz_file, record):
         for p in _read(read_passages_jsonl, fuzz_file, record) or ():
             assert type(p.id) is str and type(p.title) is str and type(p.text) is str
             assert type(p.extras) is dict
 
     @settings(max_examples=150, deadline=None)
-    @given(_mutated(_EXAMPLE))
+    @given(mutated(_EXAMPLE))
     def test_examples(self, fuzz_file, record):
         for e in _read(read_examples_jsonl, fuzz_file, record) or ():
             assert type(e.id) is str and type(e.question) is str and _strings(e.gold_answers)
@@ -551,14 +529,14 @@ class TestReaderFuzz:
                 assert golds is None or _strings(golds)
 
     @settings(max_examples=300, deadline=None)
-    @given(_mutated(_TRAJECTORY))
+    @given(mutated(_TRAJECTORY))
     def test_trajectories(self, fuzz_file, record):
         for rec in _read(read_trajectories_jsonl, fuzz_file, record) or ():
             assert type(rec.id) is str and (rec.answer is None or type(rec.answer) is str)
             _assert_trajectory(rec.trajectory)
 
     @settings(max_examples=300, deadline=None)
-    @given(_mutated(_WEIGHTED))
+    @given(mutated(_WEIGHTED))
     def test_weighted(self, fuzz_file, record):
         for rec_id, wt in _read(read_weighted_jsonl, fuzz_file, record) or ():
             assert type(rec_id) is str and type(wt.answer) is str
@@ -567,7 +545,28 @@ class TestReaderFuzz:
             _assert_trajectory(wt.trajectory)
 
     @settings(max_examples=60, deadline=None)
-    @given(_mutated(_PREDICTION))
+    @given(mutated(_PREDICTION))
     def test_predictions(self, fuzz_file, record):
         for pred_id, answer in (_read(read_predictions_jsonl, fuzz_file, record) or {}).items():
             assert type(pred_id) is str and type(answer) is str
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutated(_PARAMS))
+    def test_params(self, fuzz_file, record):
+        params = _read(TabularPolicyParams.load, fuzz_file, record, MalformedFile)
+        if params is not None:
+            for logits, ndim in ((params.think_logits, 2), (params.record_logits, 1),
+                                 (params.answer_logits, 1)):
+                assert logits.dtype == np.float64 and logits.ndim == ndim
+                assert np.isfinite(logits).all()
+            assert params.answer_logits.shape == (2,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutated(_WORLD))
+    def test_world(self, fuzz_file, record):
+        world = _read(load_world, fuzz_file, record, MalformedFile)
+        if world is not None:
+            assert _strings(world.entities) and _strings(world.relations)
+            assert type(world.facts) is tuple
+            assert all(_strings(fact) and len(fact) == 3 for fact in world.facts)
+            assert type(world.hop_count) is int and type(world.seed) is int
