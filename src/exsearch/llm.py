@@ -38,7 +38,7 @@ conditioned on the messages; servers without log-probability support simply
 omit the ``logprobs`` field (or send null), which surfaces as
 LogprobsUnsupported here; the first scoring request settles this, and a
 negative answer is cached. A reply of any other shape than the one above,
-including a log-probability that is not a finite number, raises
+including a log-probability that is not a finite number <= 0, raises
 EndpointError.
 
 :func:`chat_turns` builds the prompt that generation, answer scoring and the
@@ -71,6 +71,8 @@ from .trajectory import (FINAL_VARIANTS, RANK, RECORD, SEARCH, THINK, Passage, T
                          finite_real, iter_actions, render_transcript)
 
 DEFAULT_API_KEY_ENV = "EXSEARCH_API_KEY"
+MAX_RETRIES = 20  # the largest max_retries an EndpointConfig accepts
+MAX_BACKOFF_S = 60.0  # the longest wait before a retry, jitter included
 
 SYSTEM_PROMPT = """You are an intelligent search agent capable of simulating a question-answering process by actively seeking information from Wikipedia to answer a given question.
 
@@ -176,8 +178,8 @@ class EndpointConfig:
             raise ValueError("timeout must be positive")
         if self.backoff_base < 0:
             raise ValueError("backoff_base must be >= 0")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+        if not 0 <= self.max_retries <= MAX_RETRIES:
+            raise ValueError(f"max_retries must be between 0 and {MAX_RETRIES}")
 
 
 class _ConnectFailed(OSError):
@@ -394,7 +396,8 @@ class HttpChatClient:
     resolved once, here.
 
     Retries transport errors and HTTP 429/5xx with exponential backoff
-    (factor 2 plus jitter) up to ``max_retries``; 401/403 raise AuthError
+    (factor 2 plus up to 10% jitter, each wait at most ``MAX_BACKOFF_S``) up
+    to ``max_retries`` (at most ``MAX_RETRIES``); 401/403 raise AuthError
     immediately and are never retried. A request whose every attempt failed
     to connect marks the client unreachable: each later request raises
     EndpointError at once, without network I/O or backoff. Whether the
@@ -499,7 +502,7 @@ class HttpChatClient:
         for attempt in range(attempts):
             if attempt:
                 delay = self.config.backoff_base * (2 ** (attempt - 1))
-                time.sleep(delay * (1.0 + 0.1 * random.random()))
+                time.sleep(min(MAX_BACKOFF_S, delay * (1.0 + 0.1 * random.random())))
             try:
                 status, data = self._send(request)
             except TimeoutError as exc:
@@ -566,7 +569,8 @@ class HttpChatClient:
         items = logprobs.get("content") if isinstance(logprobs, dict) else None
         if not (isinstance(items, list) and all(
                 isinstance(item, dict) and isinstance(item.get("token"), str)
-                and finite_real(item.get("logprob")) for item in items)):
+                and finite_real(item.get("logprob")) and item["logprob"] <= 0
+                for item in items)):
             raise EndpointError(f"malformed token log-probabilities: {logprobs!r}")
         return [float(item["logprob"]) for item in items]
 

@@ -11,23 +11,30 @@ without a live model. Behaviors:
   well-formed THINK/RECORD/FINAL segments;
 * :class:`FlakyBehavior` prefixes any behavior with scripted HTTP statuses.
 
-It needs only the standard library and :mod:`exsearch.trajectory`.
+:class:`StubChatServer` serves a behavior over HTTP/1.x from a lean
+:mod:`socketserver` handler: it acts only on a request's ``Content-Length``
+and ``Connection`` headers, keeps connections alive by :mod:`http.server`'s
+rule, and sends each reply in one write. It needs only the standard library
+and :mod:`exsearch.trajectory`, and loads no :mod:`http.server`.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import socketserver
 import threading
 import traceback
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from typing import Callable, Sequence
 
 from .trajectory import FINAL, RANK, RECORD, SEARCH, iter_actions
 
 Responder = Callable[[dict], tuple[int, dict]]
 
+_MAXLINE = 65536  # http.server's limit on a request or header line
+_REASONS = {status.value: status.phrase.encode("ascii") for status in HTTPStatus}
 _FIRST_DOC_RE = re.compile(r"\[1\] Title: .*? Content: (.*?)(?= \[\d+\] Title: |$)")
 
 
@@ -159,41 +166,92 @@ class ChainOracleBehavior:
         return 200, chat_response(_truncate_at_stops(text, request.get("stop", [])))
 
 
+class _Server(socketserver.ThreadingTCPServer):
+    daemon_threads = True  # as http.server's ThreadingHTTPServer sets them
+    allow_reuse_address = True
+
+
 class StubChatServer:
-    """Threaded HTTP server speaking the chat-completion protocol."""
+    """Threaded HTTP/1.x server speaking the chat-completion protocol.
+
+    Each connection is served by its own daemon thread. Per request the
+    handler reads the request line and the header lines, acting only on
+    ``Content-Length`` and ``Connection``, reads the body by its
+    ``Content-Length`` (chunked bodies and ``Expect: 100-continue`` are not
+    supported), calls the behavior under one lock, and writes the status
+    line, ``Content-Type``, ``Content-Length`` and the JSON body in one
+    write. A method other than POST gets 501 and a malformed request line or
+    ``Content-Length`` 400, and each closes the connection.
+
+    Connections follow :mod:`http.server`'s keep-alive rule: one stays open
+    only when the handler's ``protocol_version`` is ``"HTTP/1.1"`` (the
+    default is ``"HTTP/1.0"``) and the request either is HTTP/1.1 without
+    ``Connection: close`` or says ``Connection: keep-alive``. The handler
+    class is ``_server.RequestHandlerClass``, one per server; setting its
+    ``disable_nagle_algorithm`` turns on TCP_NODELAY.
+    """
 
     def __init__(self, behavior: Responder):
         self.behavior = behavior
         self._lock = threading.Lock()
         outer = self
 
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):  # noqa: N802 (http.server API)
-                length = int(self.headers.get("Content-Length", 0))
+        class Handler(socketserver.StreamRequestHandler):
+            protocol_version = "HTTP/1.0"
+
+            def handle(self):
+                while self._serve_one():
+                    pass
+
+            def _serve_one(self) -> bool:
+                """Answer one request; whether the connection stays open."""
+                words = self.rfile.readline(_MAXLINE + 1).split()
+                if not words:  # the client closed the connection
+                    return False
+                headers = {}
+                while (line := self.rfile.readline(_MAXLINE + 1)) not in (b"\r\n", b"\n", b""):
+                    name, _, value = line.partition(b":")
+                    headers.setdefault(name.strip().lower(), value.strip())
+                if len(words) != 3 or not words[2].startswith(b"HTTP/"):
+                    return self._reply(400, {"error": "malformed request line"}, False)
+                method, _, version = words
+                if method != b"POST":
+                    return self._reply(501, {"error": f"unsupported method {method!r}"},
+                                       False)
+                try:
+                    length = int(headers.get(b"content-length", 0))
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    return self._reply(400, {"error": "malformed Content-Length"}, False)
+                connection = headers.get(b"connection", b"").lower()
+                keep_alive = self.protocol_version >= "HTTP/1.1" and (
+                    connection == b"keep-alive"
+                    or (version >= b"HTTP/1.1" and connection != b"close"))
                 try:
                     request = json.loads(self.rfile.read(length))
                 except ValueError:  # not JSON, or not UTF-8
                     request = None
                 if not isinstance(request, dict):
-                    status, body = 400, {"error": "request body is not a JSON object"}
-                else:
-                    try:
-                        with outer._lock:
-                            status, body = outer.behavior(request)
-                    except Exception as exc:  # answer, and keep serving
-                        traceback.print_exc()
-                        status, body = 500, {"error": f"stub behavior raised {exc!r}"}
+                    return self._reply(400, {"error": "request body is not a JSON object"},
+                                       keep_alive)
+                try:
+                    with outer._lock:
+                        status, body = outer.behavior(request)
+                except Exception as exc:  # answer, and keep serving
+                    traceback.print_exc()
+                    status, body = 500, {"error": f"stub behavior raised {exc!r}"}
+                return self._reply(status, body, keep_alive)
+
+            def _reply(self, status: int, body: dict, keep_alive: bool) -> bool:
                 payload = json.dumps(body).encode("utf-8")
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
+                self.wfile.write(b"%s %d %s\r\nContent-Type: application/json\r\n"
+                                 b"Content-Length: %d\r\n\r\n%s" % (
+                                     self.protocol_version.encode("ascii"), status,
+                                     _REASONS.get(status, b""), len(payload), payload))
+                return keep_alive
 
-            def log_message(self, *args):
-                pass
-
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._server = _Server(("127.0.0.1", 0), Handler)
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
 
     @property

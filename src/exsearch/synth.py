@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -95,18 +95,6 @@ def render_corpus(world: SyntheticWorld) -> list[Passage]:
         Passage(id=fact_passage_id(s, r, o), title=s, text=f"{s} {r} {o}")
         for s, r, o in world.facts
     ]
-
-
-def walk(world: SyntheticWorld, start: str, relations: Iterable[str]) -> list[str] | None:
-    """Follow a relation sequence from ``start``; None when a hop is undefined."""
-    fact_map = world.fact_map
-    nodes = [start]
-    for rel in relations:
-        nxt = fact_map.get((nodes[-1], rel))
-        if nxt is None:
-            return None
-        nodes.append(nxt)
-    return nodes
 
 
 def _all_chains(world: SyntheticWorld) -> list[tuple[str, tuple[str, ...], list[str]]]:

@@ -322,13 +322,6 @@ def parse_transcript(text: str) -> ParsedTranscript:
     return ParsedTranscript(steps=tuple(steps), answer=answer, skipped_lines=skipped)
 
 
-def repeated_subquery_hops(steps: Iterable[ParsedStep] | Iterable[Step]) -> tuple[int, ...]:
-    """Hop numbers (1-based) whose sub-query occurs more than once."""
-    queries = [s.sub_query for s in steps]
-    dup = {q for q in queries if queries.count(q) > 1}
-    return tuple(i for i, q in enumerate(queries, 1) if q in dup)
-
-
 # --- JSONL serialization -----------------------------------------------------
 #
 # Schemas (one JSON object per line):

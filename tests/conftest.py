@@ -149,6 +149,13 @@ def default_agent(budget: int = 5, k: int = 3, **kw) -> agent.AgentConfig:
     return agent.AgentConfig(budget=budget, k=k, **kw)
 
 
+def repeated_subquery_hops(steps) -> tuple[int, ...]:
+    """Hop numbers (1-based) whose sub-query occurs more than once."""
+    queries = [s.sub_query for s in steps]
+    dup = {q for q in queries if queries.count(q) > 1}
+    return tuple(i for i, q in enumerate(queries, 1) if q in dup)
+
+
 # --- reader fuzz: one field or list item of a valid document replaced or deleted
 
 FUZZ_POOL = [None, True, False, 0, 3, -1, 10**400, 1.5, float("nan"), "", "x", "p2",

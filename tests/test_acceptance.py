@@ -18,6 +18,7 @@ from conftest import (
     chain_following_policy,
     exact_posterior_batches,
     random_trajectory,
+    repeated_subquery_hops,
     uniform_policy,
 )
 from exsearch import agent, metrics, retrieval, synth, training
@@ -30,7 +31,6 @@ from exsearch.trajectory import (
     read_examples_jsonl,
     render_parsed,
     render_transcript,
-    repeated_subquery_hops,
 )
 from test_retrieval import brute_force_bm25, passages_from
 

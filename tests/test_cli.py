@@ -578,6 +578,30 @@ class TestExitCodes:
         assert err[0].startswith("exsearch: error: EndpointError: malformed endpoint response")
         assert err[0].endswith("(6 of 6 episodes failed)")
 
+    def test_weigh_on_positive_logprobs_exits_3(self, tmp_path, capsys):
+        # Two tokens at 1.7e308 sum to inf; the softmax then made a nan weight.
+        examples = tmp_path / "ex.jsonl"
+        trajectory.write_examples_jsonl(examples, [
+            trajectory.Example(id="e0", question="q", gold_answers=("a",))])
+        trajs = tmp_path / "t.jsonl"
+        trajs.write_text("".join(json.dumps({"id": f"e0/{i}", "question": "q", "steps": [],
+                                             "answer": "a"}) + "\n" for i in range(2)))
+        tokens = [{"token": "a", "logprob": 1.7e308}, {"token": "b", "logprob": 1.7e308}]
+        body = {"choices": [{"message": {"role": "assistant", "content": "a b"},
+                             "logprobs": {"content": tokens}}]}
+        with StubChatServer(lambda request: (200, body)) as server:
+            config = tmp_path / "engine.json"
+            config.write_text(json.dumps({"llm": {"base_url": server.base_url,
+                                                  "model_name": "stub"}}))
+            code = main(["weigh", "--trajectories", str(trajs), "--examples", str(examples),
+                         "--mode", "posterior-logprob", "--policy", "llm",
+                         "--config", str(config), "--out", str(tmp_path / "w.jsonl")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 3
+        assert not (tmp_path / "w.jsonl").exists()
+        assert len(err) == 1
+        assert err[0].startswith("exsearch: error: EndpointError: malformed token log-probabilities")
+
     def test_missing_input_file_exits_2(self, tmp_path):
         result = run_cli("ingest", "--corpus", str(tmp_path / "nope.jsonl"),
                          "--index", str(tmp_path / "idx"))

@@ -8,12 +8,15 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.error
 import urllib.parse
+import urllib.request
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import exsearch.llm
 from conftest import mutated
 from exsearch.errors import AuthError, EndpointError, LogprobsUnsupported, Timeout
 from exsearch.llm import (
@@ -285,38 +288,28 @@ class TestComplete:
         assert len(statuses) == 1
 
     def test_requests_in_flight_reach_the_number_of_threads(self):
-        # Requests in flight are counted in the handler: from a parsed
-        # request to its response, whose first byte the client cannot read
-        # before send_response. Each reply waits until every thread's request
-        # has arrived, so the peak is reached unless something caps it.
+        # Requests in flight are counted in the behavior, which the server
+        # calls once a request has arrived and before any byte of its reply
+        # is sent. Each call waits until every thread's request has arrived,
+        # so the peak is reached unless something caps it.
         n_threads = 8
         active = {"now": 0, "peak": 0}
         lock = threading.Lock()
         all_arrived = threading.Event()
 
         def behavior(request):
-            all_arrived.wait(timeout=5)
-            return 200, chat_response("x")
-
-        server = StubChatServer(behavior)
-        server._lock = contextlib.nullcontext()  # the behavior keeps no state
-        handler = server._server.RequestHandlerClass
-        parse, respond = handler.parse_request, handler.send_response
-
-        def parse_request(h):
             with lock:
                 active["now"] += 1
                 active["peak"] = max(active["peak"], active["now"])
                 if active["now"] == n_threads:
                     all_arrived.set()
-            return parse(h)
-
-        def send_response(h, *args):
+            all_arrived.wait(timeout=5)
             with lock:
                 active["now"] -= 1
-            respond(h, *args)
+            return 200, chat_response("x")
 
-        handler.parse_request, handler.send_response = parse_request, send_response
+        server = StubChatServer(behavior)
+        server._lock = contextlib.nullcontext()  # the behavior guards its own state
         with server:
             client = HttpChatClient(make_config(server))
             threads = [threading.Thread(
@@ -554,8 +547,11 @@ class TestMalformedReplies:
         {"content": ["x"]},
         {"tokens": []},
         "x",
+        {"content": [{"token": "x", "logprob": 0.5}]},
+        {"content": [{"token": "x", "logprob": 1.7e308}, {"token": "y", "logprob": 1.7e308}]},
     ], ids=["no-logprob", "content-string", "nan", "infinite", "bool", "string",
-            "no-token", "item-string", "no-content", "logprobs-string"])
+            "no-token", "item-string", "no-content", "logprobs-string", "positive",
+            "positive-summing-to-inf"])
     def test_score(self, logprobs):
         body = {"choices": [{"message": {"role": "assistant", "content": "x"},
                              "logprobs": logprobs}]}
@@ -613,6 +609,15 @@ class TestMalformedReplies:
             score = client.score_answer_logprob("alpha rel", simple_trajectory(), "")
         assert type(score) is float and score == 0.0
 
+    def test_a_zero_logprob_is_accepted(self):
+        items = [{"token": "x", "logprob": 0}, {"token": "y", "logprob": -0.0}]
+        body = {"choices": [{"message": {"role": "assistant", "content": "x y"},
+                             "logprobs": {"content": items}}]}
+        with StubChatServer(serving(body)) as server:
+            client = HttpChatClient(make_config(server))
+            assert client.score_answer_logprob("alpha rel", simple_trajectory(),
+                                               "x y") == 0.0
+
     def test_logprobs_on_the_message_are_read(self):
         items = [{"token": "x", "logprob": -1}, {"token": "y", "logprob": -0.5}]
         body = {"choices": [{"message": {"role": "assistant", "content": "x y",
@@ -638,11 +643,27 @@ class TestEndpointConfig:
         ("backoff_base", -1.0),
         ("max_retries", 2.0),
         ("max_retries", -1),
+        ("max_retries", 21),
+        ("max_retries", 10**22),
     ])
     def test_rejects_ill_typed_or_out_of_range_values(self, field, value):
         kw = {"base_url": "http://127.0.0.1:9/v1", "model_name": "stub", field: value}
         with pytest.raises(ValueError, match=field):
             EndpointConfig(**kw)
+
+    def test_retries_at_most_max_retries_times_with_capped_backoff(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("exsearch.llm.time.sleep", sleeps.append)
+        limit = exsearch.llm.MAX_RETRIES
+        behavior = FlakyBehavior([500] * (limit + 1), ScriptedBehavior(["never"]))
+        with StubChatServer(behavior) as server:
+            client = HttpChatClient(make_config(server, max_retries=limit, backoff_base=1.0))
+            with pytest.raises(EndpointError, match=f"after {limit + 1} attempts"):
+                client.complete([ChatTurn("user", "u")], [])
+        assert len(sleeps) == limit
+        for attempt, delay in enumerate(sleeps[:5], 1):  # 1 s doubling, 10% jitter
+            assert 2 ** (attempt - 1) <= delay <= 1.1 * 2 ** (attempt - 1)
+        assert max(sleeps) == sleeps[-1] == exsearch.llm.MAX_BACKOFF_S
 
     def test_accepts_integer_timeouts_and_https(self):
         config = EndpointConfig(base_url="https://example.org/v1", model_name="m",
@@ -650,7 +671,58 @@ class TestEndpointConfig:
         assert config.timeout == 3
 
 
+ORACLE_REQUEST = json.dumps({"messages": [{"role": "user", "content": "<USER QUERY> ent1 rel0"}],
+                             "stop": ["<SEARCH>"]}).encode("utf-8")
+
+
+def stub_server(protocol_version: str | None = None) -> StubChatServer:
+    """A chain-oracle stub; ``protocol_version`` set on its handler class."""
+    server = StubChatServer(ChainOracleBehavior())
+    if protocol_version is not None:
+        server._server.RequestHandlerClass.protocol_version = protocol_version
+    return server
+
+
+def raw_request(method: str = "POST", version: str = "HTTP/1.1",
+                connection: str | None = None) -> bytes:
+    """A request's bytes; a POST carries ORACLE_REQUEST."""
+    lines = [f"{method} /v1/chat/completions {version}", "Host: 127.0.0.1"]
+    body = ORACLE_REQUEST if method == "POST" else b""
+    if body:
+        lines += ["Content-Type: application/json", f"Content-Length: {len(body)}"]
+    if connection is not None:
+        lines.append(f"Connection: {connection}")
+    return "\r\n".join(lines + ["", ""]).encode("ascii") + body
+
+
+def exchange(server: StubChatServer, requests: list[bytes]) -> tuple[list[tuple], bool]:
+    """Send ``requests`` one at a time over one connection, reading each
+    reply with ``http.client``: (status, HTTP version, Content-Type, body) per
+    reply, and whether the server closed the connection after the last."""
+    url = urllib.parse.urlsplit(server.base_url)
+    replies = []
+    with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+        for request in requests:
+            sock.sendall(request)
+            response = http.client.HTTPResponse(sock)
+            try:
+                response.begin()
+                replies.append((response.status, response.version,
+                                response.getheader("Content-Type"), response.read()))
+            finally:
+                response.close()
+        sock.settimeout(0.2)
+        try:
+            closed = sock.recv(1) == b""
+        except TimeoutError:
+            closed = False
+    return replies, closed
+
+
 class TestStubServer:
+    """The stub answers as :mod:`http.server` answered: statuses, error
+    bodies and its keep-alive rule, seen by ``http.client`` and ``urllib``."""
+
     @pytest.mark.parametrize("body, status", [
         (b"[]", 400),                   # JSON, but not an object
         (b"\xff{not json", 400),        # neither UTF-8 nor JSON
@@ -672,6 +744,83 @@ class TestStubServer:
             client = HttpChatClient(make_config(server))
             out = client.complete([ChatTurn("user", "<USER QUERY> ent1 rel0")], ["<SEARCH>"])
             assert out == "<THINK> ent1 rel0\n"
+
+    @pytest.mark.parametrize("protocol, version, connection, kept", [
+        ("HTTP/1.1", "HTTP/1.1", None, True),
+        ("HTTP/1.1", "HTTP/1.1", "keep-alive", True),
+        ("HTTP/1.1", "HTTP/1.1", "close", False),
+        ("HTTP/1.1", "HTTP/1.0", None, False),
+        ("HTTP/1.1", "HTTP/1.0", "keep-alive", True),
+        (None, "HTTP/1.1", None, False),
+        (None, "HTTP/1.1", "keep-alive", False),
+        (None, "HTTP/1.0", None, False),
+    ])
+    def test_keep_alive_rule(self, protocol, version, connection, kept):
+        request = raw_request(version=version, connection=connection)
+        with stub_server(protocol) as server:
+            replies, closed = exchange(server, [request] * (2 if kept else 1))
+        reply_version = 11 if protocol == "HTTP/1.1" else 10
+        for status, got_version, content_type, body in replies:
+            assert (status, got_version, content_type) == (200, reply_version,
+                                                           "application/json")
+            assert json.loads(body) == chat_response("<THINK> ent1 rel0\n")
+        assert closed is not kept
+
+    def test_http_client_reuses_one_kept_alive_connection(self):
+        server = stub_server("HTTP/1.1")
+        accepted = []
+        process = server._server.process_request
+        server._server.process_request = lambda *a: accepted.append(1) or process(*a)
+        with server:
+            url = urllib.parse.urlsplit(server.base_url)
+            conn = http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+            try:
+                for _ in range(2):
+                    conn.request("POST", "/v1/chat/completions", body=ORACLE_REQUEST,
+                                 headers={"Content-Type": "application/json"})
+                    response = conn.getresponse()
+                    assert response.status == 200 and not response.will_close
+                    assert json.loads(response.read()) == chat_response(
+                        "<THINK> ent1 rel0\n")
+            finally:
+                conn.close()
+        assert accepted == [1]
+
+    @pytest.mark.parametrize("protocol", [None, "HTTP/1.1"])
+    def test_urllib_post_is_answered_and_closed(self, protocol):
+        # urllib.request sends HTTP/1.1 with Connection: close
+        opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+        with stub_server(protocol) as server:
+            request = urllib.request.Request(f"{server.base_url}/chat/completions",
+                                             data=ORACLE_REQUEST,
+                                             headers={"Content-Type": "application/json"})
+            with opener.open(request, timeout=5) as response:
+                assert response.status == 200
+                assert json.loads(response.read()) == chat_response("<THINK> ent1 rel0\n")
+            replies, closed = exchange(server, [raw_request(connection="close")])
+        assert replies[0][0] == 200 and closed
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"POST\r\n\r\n",
+        b"POST /v1/chat/completions HTTP/1.1\r\nContent-Length: many\r\n\r\n",
+        b"POST /v1/chat/completions HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+    ], ids=["request-line", "length-not-a-number", "negative-length"])
+    def test_malformed_request_gets_400_and_the_connection_closes(self, request_bytes):
+        with stub_server("HTTP/1.1") as server:
+            replies, closed = exchange(server, [request_bytes])
+        (status, _, _, body), = replies
+        assert status == 400 and "error" in json.loads(body) and closed
+
+    @pytest.mark.parametrize("protocol", [None, "HTTP/1.1"])
+    def test_get_gets_501_and_the_connection_closes(self, protocol):
+        opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+        with stub_server(protocol) as server:
+            with pytest.raises(urllib.error.HTTPError) as raised:
+                opener.open(f"{server.base_url}/chat/completions", timeout=5)
+            raised.value.close()
+            replies, closed = exchange(server, [raw_request(method="GET")])
+        assert raised.value.code == 501
+        assert replies[0][0] == 501 and closed
 
 
 def loaded_modules(imports: str) -> set[str]:
@@ -695,3 +844,7 @@ def test_importing_exsearch_leaves_requests_unloaded():
 def test_light_modules_load_neither_numpy_nor_the_trainer(module):
     heavy = {"numpy", "exsearch.policy", "exsearch.training"}
     assert sorted(loaded_modules(module) & heavy) == []
+
+
+def test_the_stub_loads_no_http_server():
+    assert "http.server" not in loaded_modules("exsearch.stub")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mutated, random_trajectory
+from conftest import mutated, random_trajectory, repeated_subquery_hops
 from exsearch.errors import MalformedAction, MalformedFile, SchemaError
 from exsearch.policy import TabularPolicyParams
 from exsearch.synth import load_world
@@ -36,7 +36,6 @@ from exsearch.trajectory import (
     read_weighted_jsonl,
     render_parsed,
     render_transcript,
-    repeated_subquery_hops,
     step_citations,
     trajectory_record_from_dict,
     weighted_from_dict,
