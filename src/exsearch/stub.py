@@ -206,7 +206,7 @@ class StubChatServer:
             def _serve_one(self) -> bool:
                 """Answer one request; whether the connection stays open."""
                 words = self.rfile.readline(_MAXLINE + 1).split()
-                if not words:  # the client closed the connection
+                if not words:  # end of stream, or a blank line, which http.server also drops
                     return False
                 headers = {}
                 while (line := self.rfile.readline(_MAXLINE + 1)) not in (b"\r\n", b"\n", b""):

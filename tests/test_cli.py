@@ -600,7 +600,8 @@ class TestExitCodes:
         assert code == 3
         assert not (tmp_path / "w.jsonl").exists()
         assert len(err) == 1
-        assert err[0].startswith("exsearch: error: EndpointError: malformed token log-probabilities")
+        assert err[0].startswith(
+            "exsearch: error: EndpointError: malformed token log-probabilities")
 
     def test_missing_input_file_exits_2(self, tmp_path):
         result = run_cli("ingest", "--corpus", str(tmp_path / "nope.jsonl"),

@@ -673,6 +673,8 @@ class TestEndpointConfig:
 
 ORACLE_REQUEST = json.dumps({"messages": [{"role": "user", "content": "<USER QUERY> ent1 rel0"}],
                              "stop": ["<SEARCH>"]}).encode("utf-8")
+ORACLE_REPLY = chat_response("<THINK> ent1 rel0\n")
+DIRECT = urllib.request.build_opener(urllib.request.ProxyHandler({}))  # no proxy
 
 
 def stub_server(protocol_version: str | None = None) -> StubChatServer:
@@ -729,7 +731,7 @@ class TestStubServer:
         (b'{"messages": "x"}', 500),    # the behavior raises AttributeError
     ], ids=["array", "undecodable", "behavior-raises"])
     def test_bad_bodies_get_an_error_response(self, body, status):
-        with StubChatServer(ChainOracleBehavior()) as server:
+        with stub_server() as server:
             url = urllib.parse.urlsplit(server.base_url)
             conn = http.client.HTTPConnection(url.hostname, url.port, timeout=5)
             try:
@@ -763,7 +765,7 @@ class TestStubServer:
         for status, got_version, content_type, body in replies:
             assert (status, got_version, content_type) == (200, reply_version,
                                                            "application/json")
-            assert json.loads(body) == chat_response("<THINK> ent1 rel0\n")
+            assert json.loads(body) == ORACLE_REPLY
         assert closed is not kept
 
     def test_http_client_reuses_one_kept_alive_connection(self):
@@ -780,8 +782,7 @@ class TestStubServer:
                                  headers={"Content-Type": "application/json"})
                     response = conn.getresponse()
                     assert response.status == 200 and not response.will_close
-                    assert json.loads(response.read()) == chat_response(
-                        "<THINK> ent1 rel0\n")
+                    assert json.loads(response.read()) == ORACLE_REPLY
             finally:
                 conn.close()
         assert accepted == [1]
@@ -789,14 +790,13 @@ class TestStubServer:
     @pytest.mark.parametrize("protocol", [None, "HTTP/1.1"])
     def test_urllib_post_is_answered_and_closed(self, protocol):
         # urllib.request sends HTTP/1.1 with Connection: close
-        opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
         with stub_server(protocol) as server:
             request = urllib.request.Request(f"{server.base_url}/chat/completions",
                                              data=ORACLE_REQUEST,
                                              headers={"Content-Type": "application/json"})
-            with opener.open(request, timeout=5) as response:
+            with DIRECT.open(request, timeout=5) as response:
                 assert response.status == 200
-                assert json.loads(response.read()) == chat_response("<THINK> ent1 rel0\n")
+                assert json.loads(response.read()) == ORACLE_REPLY
             replies, closed = exchange(server, [raw_request(connection="close")])
         assert replies[0][0] == 200 and closed
 
@@ -813,10 +813,9 @@ class TestStubServer:
 
     @pytest.mark.parametrize("protocol", [None, "HTTP/1.1"])
     def test_get_gets_501_and_the_connection_closes(self, protocol):
-        opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
         with stub_server(protocol) as server:
             with pytest.raises(urllib.error.HTTPError) as raised:
-                opener.open(f"{server.base_url}/chat/completions", timeout=5)
+                DIRECT.open(f"{server.base_url}/chat/completions", timeout=5)
             raised.value.close()
             replies, closed = exchange(server, [raw_request(method="GET")])
         assert raised.value.code == 501
