@@ -16,7 +16,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .retrieval import Retriever
-from .trajectory import Passage, Step, Trajectory, read_citations
+from .trajectory import Passage, Step, Trajectory, check_settings, read_citations
 
 
 class Episode(Protocol):
@@ -57,6 +57,7 @@ class AgentConfig:
     dedup_subqueries: bool = False
 
     def __post_init__(self):
+        check_settings(self)
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
         if self.k < 1:

@@ -27,7 +27,6 @@ import dataclasses
 import json
 import math
 import sys
-import typing
 from pathlib import Path
 
 from . import agent, llm, metrics, retrieval, synth, training, trajectory
@@ -52,19 +51,16 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-# The keys of each config section and, where checked here, their types: a
-# bool must be a boolean and an int an integer that is not a boolean. [agent],
-# [trainer] and [llm] hold the fields of the settings they fill; --mode sets
-# [trainer]'s e_step_mode, and EndpointConfig checks its own values. A
-# [retriever] k is read by nothing (the retrieval size is [agent] k or --k);
-# it stays accepted because perfbench's llm_pipeline config still sets it.
-_SECTION_TYPES = {
-    "retriever": {"index": str, "k": int},
-    "agent": typing.get_type_hints(agent.AgentConfig),
-    "trainer": {key: kind for key, kind in
-                typing.get_type_hints(training.TrainConfig).items() if key != "e_step_mode"},
-    "llm": dict.fromkeys(f.name for f in dataclasses.fields(llm.EndpointConfig)),
-}
+# The keys of each config section and their kinds (trajectory.SETTING_KINDS):
+# [agent], [trainer] and [llm] hold the fields of the settings they fill, less
+# e_step_mode, which --mode sets. Every command checks every section's keys and
+# kinds at load, and checks ranges, URL shape and required keys when it builds
+# the settings. A [retriever] k is read by nothing (the retrieval size is
+# [agent] k or --k); perfbench's llm_pipeline config still sets it.
+_SECTION_KINDS = {"retriever": {"index": "str", "k": "int"}} | {
+    section: {f.name: f.type for f in dataclasses.fields(cls) if f.name != "e_step_mode"}
+    for section, cls in (("agent", agent.AgentConfig), ("trainer", training.TrainConfig),
+                         ("llm", llm.EndpointConfig))}
 
 
 def _check_sections(config) -> None:
@@ -72,20 +68,17 @@ def _check_sections(config) -> None:
         raise UsageError("a config file must hold a table of sections")
     for section, values in config.items():
         if section == "seed":
-            if type(values) is not int:
-                raise UsageError(f"seed must be of type int, not {values!r}")
+            trajectory.check_setting("seed", "int", values, UsageError)
             continue
-        if section not in _SECTION_TYPES:
+        if section not in _SECTION_KINDS:
             raise UsageError(f"unknown top-level config key: {section}")
         if not isinstance(values, dict):
             raise UsageError(f"the [{section}] config section must be a table")
-        types = _SECTION_TYPES[section]
+        kinds = _SECTION_KINDS[section]
         for key, value in values.items():
-            if key not in types:
+            if key not in kinds:
                 raise UsageError(f"unknown key in the [{section}] config section: {key}")
-            if types[key] is not None and type(value) is not types[key]:
-                raise UsageError(f"[{section}] {key} must be of type "
-                                 f"{types[key].__name__}, not {value!r}")
+            trajectory.check_setting(f"[{section}] {key}", kinds[key], value, UsageError)
 
 
 def _load_config(path: str | None) -> dict:
@@ -400,9 +393,10 @@ def cmd_export_sft(args, config: dict) -> int:
 
 
 def cmd_warmup_format(args, config: dict) -> int:
+    k = _agent_config(args, config).k
     examples = trajectory.read_examples_jsonl(args.examples)
     retriever = _load_retriever(args, config)
-    records = training.warmup_format(examples, retriever, args.k)
+    records = training.warmup_format(examples, retriever, k)
     n = trajectory.write_jsonl(args.out, records)
     _emit(args, f"formatted {n} warm-up transcripts -> {args.out}",
           {"formatted": n, "out": str(args.out)})
@@ -532,7 +526,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("warmup-format", help="annotated examples -> transcripts")
     p.add_argument("--examples", required=True)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=int, default=None, help="retrieval size per hop")
     p.add_argument("--out", required=True)
     p.add_argument("--index")
     p.add_argument("--world")

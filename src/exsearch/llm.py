@@ -62,17 +62,22 @@ import urllib.request
 import weakref
 from base64 import b64encode
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import AuthError, EndpointError, LogprobsUnsupported, NoDocuments, Timeout
 from .trajectory import (FINAL_VARIANTS, RANK, RECORD, SEARCH, THINK, Passage, Trajectory,
-                         finite_real, iter_actions, render_transcript)
+                         check_settings, finite_real, iter_actions, render_transcript)
+
+if TYPE_CHECKING:  # the episode's annotations only: importing the client loads no numpy
+    import numpy as np
 
 DEFAULT_API_KEY_ENV = "EXSEARCH_API_KEY"
 MAX_RETRIES = 20  # the largest max_retries an EndpointConfig accepts
 MAX_BACKOFF_S = 60.0  # the longest wait before a retry, jitter included
+# The largest timeout an EndpointConfig accepts: an hour outlasts any one
+# completion, and socket timeouts hold at most 2**63 ns (a larger one raises
+# OverflowError on the first request).
+MAX_TIMEOUT_S = 3600.0
 
 SYSTEM_PROMPT = """You are an intelligent search agent capable of simulating a question-answering process by actively seeking information from Wikipedia to answer a given question.
 
@@ -157,9 +162,7 @@ class EndpointConfig:
     backoff_base: float = 1.0
 
     def __post_init__(self):
-        for name in ("base_url", "model_name", "api_key_env"):
-            if not isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a string")
+        check_settings(self)
         try:
             url = urllib.parse.urlsplit(self.base_url)
             url.port
@@ -168,14 +171,8 @@ class EndpointConfig:
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an http:// or https:// URL naming a "
                              f"host, got {self.base_url!r}")
-        for name in ("timeout", "backoff_base"):
-            value = getattr(self, name)
-            if not finite_real(value):
-                raise ValueError(f"{name} must be a finite number")
-        if type(self.max_retries) is not int:
-            raise ValueError("max_retries must be an integer")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < self.timeout <= MAX_TIMEOUT_S:
+            raise ValueError(f"timeout must be positive and at most {MAX_TIMEOUT_S:g} s")
         if self.backoff_base < 0:
             raise ValueError("backoff_base must be >= 0")
         if not 0 <= self.max_retries <= MAX_RETRIES:

@@ -62,6 +62,7 @@ from .trajectory import (
     Step,
     Trajectory,
     WeightedTrajectory,
+    check_settings,
     render_transcript,
     write_jsonl,
 )
@@ -92,6 +93,7 @@ class TrainConfig:
     validation_metric: str = "loglik"
 
     def __post_init__(self):
+        check_settings(self)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.samples_per_example < 1:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Iterable, Iterator
 
 from .errors import MalformedAction, MalformedFile, SchemaError
@@ -376,6 +376,21 @@ _TRIPLES = ("a list of [subject, relation, object] string triples",
             lambda v: tuple(map(tuple, v)) if isinstance(v, list) and all(
                 isinstance(f, list) and len(f) == 3 and all(isinstance(x, str) for x in f)
                 for f in v) else _BAD)
+# A settings field's kind by its annotation, which postponed evaluation leaves a string.
+SETTING_KINDS = {"str": _STRING, "int": _INT, "bool": _BOOL, "float": _REAL}
+
+
+def check_setting(name: str, annotation: str, value, error=ValueError) -> None:
+    """Raise ``error`` when ``value`` is not of the kind annotated ``annotation``."""
+    phrase, read = SETTING_KINDS[annotation]
+    if read(value) is _BAD:
+        raise error(f"{name} must be {phrase}, not {value!r}")
+
+
+def check_settings(settings) -> None:
+    """Check each field of the settings dataclass ``settings`` against its annotation."""
+    for f in fields(settings):
+        check_setting(f.name, f.type, getattr(settings, f.name))
 
 
 def _field(d: dict, name: str, kind: tuple, line: int | None, default=_REQUIRED):

@@ -156,6 +156,20 @@ def repeated_subquery_hops(steps) -> tuple[int, ...]:
     return tuple(i for i, q in enumerate(queries, 1) if q in dup)
 
 
+# Every reply shape but the documented one; the client raises EndpointError on each.
+MALFORMED_REPLIES = [
+    pytest.param({"choices": [{"message": "oops"}]}, id="message-string"),
+    pytest.param({"choices": [{"message": {"role": "assistant", "content": 5}}]},
+                 id="content-number"),
+    pytest.param({"choices": [{"message": {"role": "assistant"}}]}, id="content-missing"),
+    pytest.param({"choices": [{"message": ["x"]}]}, id="message-list"),
+    pytest.param({"choices": ["oops"]}, id="choice-string"),
+    pytest.param({"choices": []}, id="no-choices"),
+    pytest.param({"answer": "x"}, id="no-choices-field"),
+    pytest.param(["x"], id="array"),
+]
+
+
 # --- reader fuzz: one field or list item of a valid document replaced or deleted
 
 FUZZ_POOL = [None, True, False, 0, 3, -1, 10**400, 1.5, float("nan"), "", "x", "p2",

@@ -55,6 +55,16 @@ def two_hop_rig():
     return world, Retriever(build_index(render_corpus(world)))
 
 
+class TestAgentConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("budget", 2.5), ("k", True), ("rerank", "yes"), ("rerank_keep", "3"),
+        ("dedup_subqueries", 1),
+    ])
+    def test_rejects_ill_typed_values(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            AgentConfig(**{field: value})
+
+
 class TestRunEpisode:
     def test_follows_two_hop_chain(self):
         world, retriever = two_hop_rig()

@@ -2,13 +2,16 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import io
 import json
 import subprocess
 import sys
 import zlib
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import MALFORMED_REPLIES, mutated
 from exsearch import synth, training, trajectory
 from exsearch.agent import AgentConfig
 from exsearch.cli import build_parser, main
@@ -22,6 +25,14 @@ def run_cli(*args):
     """Invoke the CLI in a subprocess so exit codes and streams are real."""
     return subprocess.run([sys.executable, "-m", "exsearch.cli", *args],
                           capture_output=True, text=True)
+
+
+def main_error_line(capsys, argv, code: int = 2) -> str:
+    """The one stderr line of ``main(argv)``, which must exit with ``code``."""
+    assert main(argv) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    return err[0]
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +72,18 @@ class TestSynthWorldCommand:
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("exsearch: error: InfeasibleWorld: ")
+
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--entities", "1"], 2, "InfeasibleWorld: need at least 3 entities"),
+        (["--density", "0"], 2, "InfeasibleWorld: fact_density must lie in (0, 1]"),
+        (["--questions", "0"], 1, "ValueError: n must be >= 1"),
+    ], ids=["one-entity", "zero-density", "no-questions"])
+    def test_infeasible_world_or_no_questions_exits_with_one_line(self, tmp_path, capsys,
+                                                                 flags, code, message):
+        out = tmp_path / "w"
+        line = main_error_line(capsys, ["synth-world", *flags, "--out", str(out)], code)
+        assert line.startswith(f"exsearch: error: {message}")
+        assert not out.exists()
 
 
 class TestIngest:
@@ -499,6 +522,38 @@ class TestWarmupCommand:
         assert err == ["exsearch: error: ValueError: k must be >= 1"]
         assert not out.exists()
 
+    def test_warmup_format_reads_the_agent_k(self, world_dir, tmp_path, capsys, monkeypatch):
+        ks = []
+        warmup_format = training.warmup_format
+        monkeypatch.setattr(training, "warmup_format", lambda examples, retriever, k: (
+            ks.append(k) or warmup_format(examples, retriever, k)))
+        config = tmp_path / "engine.json"
+        config.write_text(json.dumps({"agent": {"k": 2}}))
+        argv = ["warmup-format", "--examples", str(world_dir / "examples.jsonl"),
+                "--world", str(world_dir / "world.json"), "--out", str(tmp_path / "w.jsonl")]
+        assert main([*argv, "--config", str(config)]) == 0
+        assert main(argv) == 0
+        assert ks == [2, 5]
+
+    @pytest.mark.parametrize("record, message", [
+        pytest.param({"id": "e0", "question": "q", "answers": ["a"]},
+                     "MissingAnnotation: example is missing required annotation: "
+                     "gold_subqueries", id="no-gold-subqueries"),
+        pytest.param({"id": "e0", "question": "q", "answers": ["a"], "gold_subqueries": "q"},
+                     "SchemaError: line 1: field 'gold_subqueries' must be a list of strings",
+                     id="string-gold-subqueries"),
+    ])
+    def test_warmup_format_on_unusable_examples_exits_2(self, world_dir, tmp_path, capsys,
+                                                        record, message):
+        examples = tmp_path / "ex.jsonl"
+        examples.write_text(json.dumps(record) + "\n")
+        out = tmp_path / "warm.jsonl"
+        line = main_error_line(capsys, ["warmup-format", "--examples", str(examples),
+                                        "--world", str(world_dir / "world.json"),
+                                        "--out", str(out)])
+        assert line == f"exsearch: error: {message}"
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_unreachable_endpoint_exits_3(self, tmp_path):
@@ -553,7 +608,8 @@ class TestExitCodes:
         self._explore_refused_port(tmp_path, capsys, max_retries=2)
         assert len(sleeps) == 2
 
-    def test_explore_against_malformed_replies_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("body", MALFORMED_REPLIES)
+    def test_explore_against_malformed_replies_exits_3(self, tmp_path, capsys, body):
         corpus = tmp_path / "corpus.jsonl"
         trajectory.write_passages_jsonl(corpus, _wiki_passages())
         examples = tmp_path / "ex.jsonl"
@@ -563,8 +619,7 @@ class TestExitCodes:
         assert main(["ingest", "--corpus", str(corpus),
                      "--index", str(tmp_path / "idx")]) == 0
         capsys.readouterr()
-        oops = {"choices": [{"message": "oops"}]}
-        with StubChatServer(lambda request: (200, oops)) as server:
+        with StubChatServer(lambda request: (200, body)) as server:
             config = tmp_path / "engine.json"
             config.write_text(json.dumps({"llm": {"base_url": server.base_url,
                                                   "model_name": "stub"}}))
@@ -575,7 +630,7 @@ class TestExitCodes:
         assert code == 3
         assert not (tmp_path / "t.jsonl").exists()
         assert len(err) == 1
-        assert err[0].startswith("exsearch: error: EndpointError: malformed endpoint response")
+        assert err[0].startswith("exsearch: error: EndpointError: ")
         assert err[0].endswith("(6 of 6 episodes failed)")
 
     def test_weigh_on_positive_logprobs_exits_3(self, tmp_path, capsys):
@@ -661,13 +716,6 @@ class TestTypedInputErrors:
                                "field 'score' must be a finite number")
         assert not (tmp_path / "w.jsonl").exists()
 
-    @staticmethod
-    def _main_error_line(capsys, argv) -> str:
-        code = main(argv)
-        err = capsys.readouterr().err.strip().splitlines()
-        assert code == 2 and len(err) == 1
-        return err[0]
-
     _TRAJECTORY = {"id": "e1/0", "question": "q", "answer": "a", "steps": []}
     _WEIGHTED = {**_TRAJECTORY, "budget": 1, "terminated": True, "log_weight": 0.0,
                  "weight": 0.5, "weight_mode": "reward-em"}
@@ -689,8 +737,8 @@ class TestTypedInputErrors:
                            + json.dumps({**base, "id": "e1/1", **fault}) + "\n")
         source = (["--trajectories", str(records), "--mode", "reward-em"]
                   if command == "weigh" else ["--weighted", str(records)])
-        line = self._main_error_line(capsys, [command, *source, "--examples", str(examples),
-                                              "--out", str(tmp_path / "out.jsonl")])
+        line = main_error_line(capsys, [command, *source, "--examples", str(examples),
+                                        "--out", str(tmp_path / "out.jsonl")])
         assert line == f"exsearch: error: SchemaError: line 2: {message}"
         assert not (tmp_path / "out.jsonl").exists()
 
@@ -701,7 +749,7 @@ class TestTypedInputErrors:
         trajs = tmp_path / "trajs.jsonl"
         trajs.write_bytes(json.dumps(self._TRAJECTORY).encode() + b"\n"
                           + b'{"id": "e1/1", "question": "q\xff", "steps": []}\n')
-        line = self._main_error_line(capsys, [
+        line = main_error_line(capsys, [
             "weigh", "--trajectories", str(trajs), "--examples", str(examples),
             "--mode", "reward-em", "--out", str(tmp_path / "w.jsonl")])
         assert line == "exsearch: error: SchemaError: line 2: invalid UTF-8"
@@ -710,7 +758,7 @@ class TestTypedInputErrors:
         examples = tmp_path / "ex.jsonl"
         examples.write_text('{"id": "e1", "question": "q", "answers": ["a"]}\n'
                             '{"id": "e2", "question": 5, "answers": ["a"]}\n')
-        line = self._main_error_line(capsys, [
+        line = main_error_line(capsys, [
             "explore", "--examples", str(examples), "--policy", "tabular",
             "--world", str(world_dir / "world.json"), "--out", str(tmp_path / "t.jsonl")])
         assert line == "exsearch: error: SchemaError: line 2: field 'question' must be a string"
@@ -727,8 +775,8 @@ class TestTypedInputErrors:
             trajectory.Example(id=f"e{i}", question="q", gold_answers=("a",)) for i in (1, 2)])
         predictions = tmp_path / "preds.jsonl"
         predictions.write_text('{"id": "e1", "answer": "a"}\n' + json.dumps(record) + "\n")
-        line = self._main_error_line(capsys, ["eval", "--predictions", str(predictions),
-                                              "--dataset", str(dataset)])
+        line = main_error_line(capsys, ["eval", "--predictions", str(predictions),
+                                        "--dataset", str(dataset)])
         assert line == f"exsearch: error: SchemaError: line 2: {message}"
 
     def test_unknown_llm_config_key_exits_1(self, world_dir, tmp_path):
@@ -775,9 +823,9 @@ class TestTypedInputErrors:
         assert not params.exists()
 
     @pytest.mark.parametrize("config, message", [
-        pytest.param({"seed": True}, "seed must be of type int, not True", id="bool-seed"),
-        pytest.param({"seed": 3.0}, "seed must be of type int, not 3.0", id="float-seed"),
-        pytest.param({"seed": "3"}, "seed must be of type int, not '3'", id="string-seed"),
+        pytest.param({"seed": True}, "seed must be an integer, not True", id="bool-seed"),
+        pytest.param({"seed": 3.0}, "seed must be an integer, not 3.0", id="float-seed"),
+        pytest.param({"seed": "3"}, "seed must be an integer, not '3'", id="string-seed"),
         pytest.param({"sed": 3}, "unknown top-level config key: sed",
                      id="unknown-top-level-key"),
         pytest.param({"retrieval": {"index": "idx"}},
@@ -819,10 +867,12 @@ class TestTypedInputErrors:
         assert line.startswith("exsearch: error: UsageError: ") and "[llm]" in line
 
     @pytest.mark.parametrize("edit, message", [
-        pytest.param(lambda llm: llm.update(timeout="3"), "timeout must be a finite number",
+        pytest.param(lambda llm: llm.update(timeout="3"),
+                     "UsageError: [llm] timeout must be a finite number, not '3'",
                      id="string-timeout"),
         pytest.param(lambda llm: llm.update(base_url=llm["base_url"].replace(
-            "http://127.0.0.1", "localhost")), "base_url must be an http:// or https:// URL",
+            "http://127.0.0.1", "localhost")),
+            "ValueError: base_url must be an http:// or https:// URL",
             id="base-url-without-scheme"),
     ])
     def test_ill_typed_llm_config_exits_1_before_any_request(self, world_dir, tmp_path,
@@ -842,7 +892,7 @@ class TestTypedInputErrors:
                              "--config", str(config),
                              "--world", str(world_dir / "world.json"))
         line = self._error_line(result, 1)
-        assert line.startswith("exsearch: error: ValueError: ") and message in line
+        assert line.startswith(f"exsearch: error: {message}")
         assert received == []
 
     @pytest.mark.parametrize("kind, edit, message", [
@@ -940,11 +990,89 @@ class TestTypedInputErrors:
                             + "".join(json.dumps({**self._WEIGHTED, "id": f"e1/{i}",
                                                   "weight": w, "weight_mode": mode}) + "\n"
                                       for i, (w, mode) in enumerate(records)))
-        line = self._main_error_line(capsys, ["export-sft", "--weighted", str(weighted),
-                                              "--examples", str(examples),
-                                              "--out", str(tmp_path / "sft.jsonl")])
+        line = main_error_line(capsys, ["export-sft", "--weighted", str(weighted),
+                                        "--examples", str(examples),
+                                        "--out", str(tmp_path / "sft.jsonl")])
         assert line == f"exsearch: error: InconsistentWeights: {message}"
         assert not (tmp_path / "sft.jsonl").exists()
+
+
+# A full engine config, and the kind of each of its values; a float takes any
+# finite number.
+_ENGINE = {
+    "seed": 3,
+    "retriever": {"index": "idx", "k": 3},
+    "agent": {"budget": 2, "k": 3, "rerank": False, "rerank_keep": 2,
+              "dedup_subqueries": False},
+    "trainer": {"iterations": 2, "samples_per_example": 2, "weight_mode": "reward-em",
+                "early_stop_patience": 0, "validation_metric": "em"},
+    "llm": {"base_url": "http://127.0.0.1:9/v1", "model_name": "stub",
+            "api_key_env": "EXSEARCH_API_KEY", "timeout": 30, "max_retries": 3,
+            "backoff_base": 1.0},
+}
+_ENGINE_KINDS = {
+    "seed": int,
+    "retriever": {"index": str, "k": int},
+    "agent": {"budget": int, "k": int, "rerank": bool, "rerank_keep": int,
+              "dedup_subqueries": bool},
+    "trainer": {"iterations": int, "samples_per_example": int, "weight_mode": str,
+                "early_stop_patience": int, "validation_metric": str},
+    "llm": {"base_url": str, "model_name": str, "api_key_env": str, "timeout": float,
+            "max_retries": int, "backoff_base": float},
+}
+
+
+def _of_kind(value, kind) -> bool:
+    if kind is float:
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) is kind
+
+
+def _ill_typed(config: dict) -> bool:
+    """Whether a value of ``config`` is not of its field's kind."""
+    for name, value in config.items():
+        kinds = _ENGINE_KINDS[name]
+        if not isinstance(kinds, dict):
+            if not _of_kind(value, kinds):
+                return True
+        elif isinstance(value, dict) and any(
+                key in kinds and not _of_kind(item, kinds[key]) for key, item in value.items()):
+            return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config-fuzz")
+
+
+class TestConfigFuzz:
+    """Every command checks every section's keys and kinds when it loads a
+    config file; a command checks ranges when it builds the settings."""
+
+    def test_the_full_config_loads(self, fuzz_dir, capsys):
+        path = fuzz_dir / "engine.json"
+        path.write_text(json.dumps(_ENGINE))
+        assert main(["synth-world", "--config", str(path), "--entities", "6",
+                     "--relations", "2", "--questions", "2", "--out", str(fuzz_dir / "w")]) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutated(_ENGINE))
+    def test_synth_world_loads_or_exits_1_with_one_line(self, fuzz_dir, config):
+        path = fuzz_dir / "engine.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["synth-world", "--config", str(path), "--entities", "6",
+                         "--relations", "2", "--questions", "2", "--out", str(fuzz_dir / "w")])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1) and len(lines) == code
+        if _ill_typed(config):
+            assert code == 1 and lines[0].startswith("exsearch: error: UsageError: ")
+        elif code == 1 and not lines[0].startswith("exsearch: error: UsageError: "):
+            # synth-world reads only the seed; numpy rejects a negative one
+            assert lines == ["exsearch: error: ValueError: expected non-negative integer"]
+            assert config["seed"] < 0
 
 
 # (config section, field) for every setting train reads from a config file

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 import exsearch.llm
-from conftest import mutated
+from conftest import MALFORMED_REPLIES, mutated
 from exsearch.errors import AuthError, EndpointError, LogprobsUnsupported, Timeout
 from exsearch.llm import (
     ChatTurn,
@@ -519,17 +519,7 @@ def serving(body):
 class TestMalformedReplies:
     """Every reply shape other than the documented one raises EndpointError."""
 
-    @pytest.mark.parametrize("body", [
-        {"choices": [{"message": "oops"}]},
-        {"choices": [{"message": {"role": "assistant", "content": 5}}]},
-        {"choices": [{"message": {"role": "assistant"}}]},
-        {"choices": [{"message": ["x"]}]},
-        {"choices": ["oops"]},
-        {"choices": []},
-        {"answer": "x"},
-        ["x"],
-    ], ids=["message-string", "content-number", "content-missing", "message-list",
-            "choice-string", "no-choices", "no-choices-field", "array"])
+    @pytest.mark.parametrize("body", MALFORMED_REPLIES)
     def test_complete(self, body):
         with StubChatServer(serving(body)) as server:
             client = HttpChatClient(make_config(server))
@@ -640,6 +630,7 @@ class TestEndpointConfig:
         ("timeout", True),
         ("timeout", float("inf")),
         ("timeout", 0),
+        ("timeout", 1e308),
         ("backoff_base", -1.0),
         ("max_retries", 2.0),
         ("max_retries", -1),
@@ -839,7 +830,7 @@ def test_importing_exsearch_leaves_requests_unloaded():
 
 
 @pytest.mark.parametrize("module", ["exsearch.stub", "exsearch.trajectory",
-                                    "exsearch.retrieval", "exsearch.metrics"])
+                                    "exsearch.retrieval", "exsearch.metrics", "exsearch.llm"])
 def test_light_modules_load_neither_numpy_nor_the_trainer(module):
     heavy = {"numpy", "exsearch.policy", "exsearch.training"}
     assert sorted(loaded_modules(module) & heavy) == []

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mutated
 from exsearch import synth
 from exsearch.errors import CorruptIndex, DuplicateId, EmptyIndex, VersionMismatch
 from exsearch.retrieval import (
@@ -260,6 +261,11 @@ class TestSearch:
         assert [h.passage_ref for h in after] == order_before
 
 
+@pytest.fixture(scope="module")
+def index_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("index-fuzz") / "index.exsidx"
+
+
 class TestPersistence:
     def test_round_trip_preserves_search_results(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -430,6 +436,20 @@ class TestPersistence:
         self._write_body(path, {**columns_body(["p"], ["t"], ["alpha"]), "extras": extras})
         with pytest.raises(CorruptIndex, match=r"extras\.exsidx: index extras is not an object"):
             load_index(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated(columns_body(["p0", "p1", "p2"], ["t", "Zürich", "u"],
+                                ["alpha beta", "beta gamma", "gamma"],
+                                {"1": {"lang": "en", "tags": ["a", 1]}})))
+    def test_any_one_field_mutated_loads_or_raises_corrupt(self, index_file, body):
+        self._write_body(index_file, body)
+        try:
+            index = load_index(index_file)
+        except CorruptIndex:
+            return
+        for p in index.passages.values():
+            assert type(p.id) is str and type(p.title) is str and type(p.text) is str
+            assert type(p.extras) is dict
 
     def test_extras_survive_the_index_file(self, tmp_path):
         index = build_index(passages_with_extras())

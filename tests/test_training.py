@@ -65,6 +65,16 @@ def world_retriever(world):
     return Retriever(build_index(render_corpus(world)))
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", 2.5), ("samples_per_example", 3.0), ("early_stop_patience", True),
+        ("weight_mode", None),
+    ])
+    def test_rejects_ill_typed_values(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            TrainConfig(**{field: value})
+
+
 class TestNormalizeWeights:
     """``weigh`` normalizes each example's raw log-weights with ``softmax``."""
 
