@@ -15,8 +15,9 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from .grammar import read_citations
 from .retrieval import Retriever
-from .trajectory import Passage, Step, Trajectory, check_settings, read_citations
+from .trajectory import Passage, Step, Trajectory, check_settings
 
 
 class Episode(Protocol):

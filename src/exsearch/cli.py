@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -116,9 +117,10 @@ def _agent_config(args, config: dict) -> agent.AgentConfig:
 
 
 def _seed(args, config: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    return config.get("seed", 0)
+    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _endpoint_config(config: dict) -> llm.EndpointConfig:
@@ -171,17 +173,18 @@ def _emit(args, human: str, payload: dict) -> None:
 
 def cmd_ingest(args, config: dict) -> int:
     passages = trajectory.read_passages_jsonl(args.corpus)
-    index = retrieval.build_index(passages)
     out = Path(args.index)
     out.mkdir(parents=True, exist_ok=True)
-    retrieval.save_index(index, out)
-    _emit(args, f"indexed {index.doc_count} passages",
-          {"indexed": index.doc_count, "index": str(out / retrieval.INDEX_FILENAME)})
+    retrieval.save_passages(passages, out)
+    _emit(args, f"indexed {len(passages)} passages",
+          {"indexed": len(passages), "index": str(out / retrieval.INDEX_FILENAME)})
     return EXIT_OK
 
 
 def cmd_synth_world(args, config: dict) -> int:
     seed = _seed(args, config)
+    if args.questions < 1:
+        raise UsageError(f"--questions must be >= 1, got {args.questions}")
     world = synth.generate_world(args.entities, args.relations, args.hops,
                                  args.density, seed)
     corpus = synth.render_corpus(world)
@@ -546,9 +549,15 @@ def _fail(exc: Exception, detail: str = "") -> int:
     return EXIT_DATA
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser :func:`main` uses, built once per process: parsing leaves
+    it unchanged, and building it costs about 95 ``add_argument`` calls."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _load_config(args.config)
         return args.func(args, config)

@@ -3,7 +3,7 @@
 The engine, not the model, executes retrieval: generation is driven
 turn-by-turn with stop sequences at the search and final-answer tags, and
 retrieved documents are injected into the running transcript between
-generations. Each generation is read with :func:`exsearch.trajectory.iter_actions`,
+generations. Each generation is read with :func:`exsearch.grammar.iter_actions`,
 so a tag counts only at the start of a line: an episode records the first
 <RECORD> payload and takes the last <THINK> that has a payload as its next
 sub-query; a generation without one ends the search. The wire protocol is the de-facto open chat-completion shape:
@@ -65,8 +65,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import AuthError, EndpointError, LogprobsUnsupported, NoDocuments, Timeout
-from .trajectory import (FINAL_VARIANTS, RANK, RECORD, SEARCH, THINK, Passage, Trajectory,
-                         check_settings, finite_real, iter_actions, render_transcript)
+from .grammar import FINAL_VARIANTS, RANK, RECORD, SEARCH, THINK, iter_actions
+from .trajectory import Passage, Trajectory, check_settings, finite_real, render_transcript
 
 if TYPE_CHECKING:  # the episode's annotations only: importing the client loads no numpy
     import numpy as np

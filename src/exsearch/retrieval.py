@@ -148,14 +148,22 @@ class Retriever:
         return [self.index.passages[h.passage_ref] for h in hits]
 
 
-def save_index(index: CorpusIndex, path) -> None:
-    """Persist an index: magic header, format-version byte, then the JSON
-    object of its passage columns, compressed at zlib level
+def save_passages(passages: Iterable[Passage], path) -> None:
+    """Write the index file of ``passages`` without building the index;
+    raises DuplicateId on a repeated passage id.
+
+    The file holds a magic header, the format-version byte, then the JSON
+    object of the passage columns, compressed at zlib level
     :data:`INDEX_ZLIB_LEVEL`. ``id``, ``title`` and ``text`` are parallel
     lists in passage order; ``extras`` maps the decimal row number of each
     passage with non-empty extras to them. The postings are not stored;
     :func:`load_index` rebuilds them."""
-    passages = list(index.passages.values())
+    passages = list(passages)
+    seen: set[str] = set()
+    for p in passages:
+        if p.id in seen:
+            raise DuplicateId(f"duplicate passage id: {p.id!r}")
+        seen.add(p.id)
     body = {"id": [p.id for p in passages],
             "title": [p.title for p in passages],
             "text": [p.text for p in passages],
@@ -169,6 +177,11 @@ def save_index(index: CorpusIndex, path) -> None:
         fh.write(INDEX_MAGIC)
         fh.write(bytes([INDEX_VERSION]))
         fh.write(payload)
+
+
+def save_index(index: CorpusIndex, path) -> None:
+    """Persist an index: the file :func:`save_passages` writes for its passages."""
+    save_passages(index.passages.values(), path)
 
 
 def _passages_from_columns(body) -> list[Passage]:

@@ -7,7 +7,7 @@ without a live model. Behaviors:
 * :class:`ScriptedBehavior` replays a fixed response sequence verbatim;
 * :class:`ChainOracleBehavior` acts as a rule-based search agent over
   synthetic chain questions ("ent7 rel2 rel0"), reading its partial
-  transcript with :func:`exsearch.trajectory.iter_actions` and emitting
+  transcript with :func:`exsearch.grammar.iter_actions` and emitting
   well-formed THINK/RECORD/FINAL segments;
 * :class:`FlakyBehavior` prefixes any behavior with scripted HTTP statuses.
 
@@ -15,7 +15,9 @@ without a live model. Behaviors:
 :mod:`socketserver` handler: it acts only on a request's ``Content-Length``
 and ``Connection`` headers, keeps connections alive by :mod:`http.server`'s
 rule, and sends each reply in one write. It needs only the standard library
-and :mod:`exsearch.trajectory`, and loads no :mod:`http.server`.
+and :mod:`exsearch.grammar`, and loads no :mod:`http.server`: the stub runs
+as a child process in tests and benchmarks, and each start pays for what
+this module imports.
 """
 
 from __future__ import annotations
@@ -24,12 +26,10 @@ import json
 import re
 import socketserver
 import threading
-import traceback
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
 from http import HTTPStatus
-from typing import Callable, Sequence
 
-from .trajectory import FINAL, RANK, RECORD, SEARCH, iter_actions
+from .grammar import FINAL, RANK, RECORD, SEARCH, iter_actions
 
 Responder = Callable[[dict], tuple[int, dict]]
 
@@ -54,13 +54,13 @@ def _truncate_at_stops(text: str, stops: Sequence[str]) -> str:
     return text[:cut]
 
 
-@dataclass
 class ScriptedBehavior:
     """Replay canned responses in order; each item is a str or a dict
     {"status": int, "content": str, "logprobs": [...]?}."""
 
-    script: list
-    index: int = 0
+    def __init__(self, script: list, index: int = 0):
+        self.script = script
+        self.index = index
 
     def __call__(self, request: dict) -> tuple[int, dict]:
         if self.index >= len(self.script):
@@ -75,12 +75,12 @@ class ScriptedBehavior:
         return 200, chat_response(item.get("content", ""), item.get("logprobs"))
 
 
-@dataclass
 class FlakyBehavior:
     """Answer with scripted HTTP statuses before delegating to ``inner``."""
 
-    statuses: list[int]
-    inner: Responder
+    def __init__(self, statuses: list[int], inner: Responder):
+        self.statuses = statuses
+        self.inner = inner
 
     def __call__(self, request: dict) -> tuple[int, dict]:
         if self.statuses:
@@ -90,7 +90,6 @@ class FlakyBehavior:
         return self.inner(request)
 
 
-@dataclass
 class ChainOracleBehavior:
     """Deterministic search agent over synthetic chain questions.
 
@@ -102,9 +101,11 @@ class ChainOracleBehavior:
     ``logprobs_enabled`` is off.
     """
 
-    logprob_table: dict[str, float] = field(default_factory=dict)
-    default_logprob: float = -0.5
-    logprobs_enabled: bool = True
+    def __init__(self, logprob_table: dict[str, float] | None = None,
+                 default_logprob: float = -0.5, logprobs_enabled: bool = True):
+        self.logprob_table = {} if logprob_table is None else logprob_table
+        self.default_logprob = default_logprob
+        self.logprobs_enabled = logprobs_enabled
 
     @staticmethod
     def _question(request: dict) -> str:
@@ -239,6 +240,8 @@ class StubChatServer:
                     with outer._lock:
                         status, body = outer.behavior(request)
                 except Exception as exc:  # answer, and keep serving
+                    import traceback  # here only: a clean start need not load it
+
                     traceback.print_exc()
                     status, body = 500, {"error": f"stub behavior raised {exc!r}"}
                 return self._reply(status, body, keep_alive)

@@ -1,4 +1,4 @@
-"""Trajectory data structures, the textual action grammar, and JSONL serialization.
+"""Trajectory data structures, the transcript writer and parser, and JSONL serialization.
 
 A trajectory is the ordered record of one search episode: per hop a sub-query,
 the retrieved passages, and the evidence extracted from them, plus a terminal
@@ -8,12 +8,10 @@ answer. Transcripts encode trajectories as one action per line using the tags
 and canonicalized on render. :func:`render_transcript` and
 :func:`render_parsed` share the grammar's one writer.
 
-This module also holds the grammar's one reader, which every other module
-uses: :func:`match_tag` reads one line, :func:`iter_actions` the lines of a
-text as ``str.splitlines`` splits them, :func:`read_citations` the "[n]"
-numbers of a <SEARCH> or <RANK> payload. A tag counts only at the start of a
-line, after leading whitespace; a space after it is optional; its payload is
-the rest of the line, stripped; a tag in mid-line is text.
+The grammar's one reader (:func:`match_tag`, :func:`iter_actions`,
+:func:`read_citations`) and its tags live in :mod:`exsearch.grammar`, which
+needs only the standard library; this module re-exports them, and
+:func:`parse_transcript` reads through them.
 """
 
 from __future__ import annotations
@@ -25,16 +23,10 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Iterable, Iterator
 
 from .errors import MalformedAction, MalformedFile, SchemaError
+# Re-exported: the grammar's names import from here as from exsearch.grammar.
+from .grammar import (FINAL, FINAL_VARIANTS, RANK, RECORD, SEARCH, THINK,  # noqa: F401
+                      iter_actions, match_tag, read_citations)
 
-THINK = "<THINK>"
-SEARCH = "<SEARCH>"
-RECORD = "<RECORD>"
-RANK = "<RANK>"
-FINAL = "<FINAL>"
-FINAL_VARIANTS = (FINAL, "<Final>", "<FINIAL>")
-_TAGS = (THINK, SEARCH, RECORD, RANK) + FINAL_VARIANTS
-
-_CITATION_RE = re.compile(r"\[(\d+)\]")
 _OUTPUT_RE = re.compile(r"^Output:\s*(.*)$")
 _PASSAGE_FIELDS = frozenset(("id", "title", "text"))
 
@@ -236,30 +228,6 @@ def render_parsed(parsed: ParsedTranscript) -> str:
     """Render a parsed skeleton back to canonical transcript text."""
     return _write_transcript(((s.sub_query, s.citations, s.rank_directive, s.evidence)
                               for s in parsed.steps), parsed.answer)
-
-
-def match_tag(line: str) -> tuple[str, str] | None:
-    """The action on one line: its canonical tag and stripped payload, or
-    None when the line is text. A tag counts only at the start of the line,
-    after leading whitespace; a space after it is optional."""
-    line = line.lstrip()
-    for tag in _TAGS:
-        if line.startswith(tag):
-            return (FINAL if tag in FINAL_VARIANTS else tag), line[len(tag):].strip()
-    return None
-
-
-def iter_actions(text: str) -> Iterator[tuple[str, str]]:
-    """The actions of ``text``, one per line that holds one, in order."""
-    for line in text.splitlines():
-        matched = match_tag(line)
-        if matched is not None:
-            yield matched
-
-
-def read_citations(text: str) -> tuple[int, ...]:
-    """The numbers cited as "[n]" in ``text``, in order."""
-    return tuple(int(n) for n in _CITATION_RE.findall(text))
 
 
 def parse_transcript(text: str) -> ParsedTranscript:

@@ -46,6 +46,24 @@ def world_dir(tmp_path_factory):
     return out
 
 
+def test_consecutive_main_calls_share_no_flag_values(tmp_path, capsys):
+    """main builds its parser once per process; one call's flags and
+    subcommand do not reach the next call."""
+    world = ["--entities", "6", "--relations", "2", "--questions", "2"]
+    assert main(["synth-world", *world, "--json", "--seed", "3",
+                 "--out", str(tmp_path / "seed3")]) == 0
+    passages = json.loads(capsys.readouterr().out)["passages"]
+    assert main(["ingest", "--corpus", str(tmp_path / "seed3" / "corpus.jsonl"),
+                 "--index", str(tmp_path / "idx")]) == 0
+    assert capsys.readouterr().out == f"indexed {passages} passages\n"
+    assert main(["synth-world", *world, "--out", str(tmp_path / "default")]) == 0
+    assert capsys.readouterr().out.startswith("world with ")
+    assert main(["synth-world", *world, "--seed", "0", "--out", str(tmp_path / "seed0")]) == 0
+    corpus = {name: (tmp_path / name / "corpus.jsonl").read_bytes()
+              for name in ("seed3", "default", "seed0")}
+    assert corpus["default"] == corpus["seed0"] != corpus["seed3"]
+
+
 class TestSynthWorldCommand:
     def test_outputs_exist_and_are_valid(self, world_dir):
         world = synth.load_world(world_dir / "world.json")
@@ -76,8 +94,9 @@ class TestSynthWorldCommand:
     @pytest.mark.parametrize("flags, code, message", [
         (["--entities", "1"], 2, "InfeasibleWorld: need at least 3 entities"),
         (["--density", "0"], 2, "InfeasibleWorld: fact_density must lie in (0, 1]"),
-        (["--questions", "0"], 1, "ValueError: n must be >= 1"),
-    ], ids=["one-entity", "zero-density", "no-questions"])
+        (["--questions", "0"], 1, "UsageError: --questions must be >= 1, got 0"),
+        (["--seed", "-1"], 1, "UsageError: seed must be >= 0, got -1"),
+    ], ids=["one-entity", "zero-density", "no-questions", "negative-seed"])
     def test_infeasible_world_or_no_questions_exits_with_one_line(self, tmp_path, capsys,
                                                                  flags, code, message):
         out = tmp_path / "w"
@@ -1069,10 +1088,11 @@ class TestConfigFuzz:
         assert code in (0, 1) and len(lines) == code
         if _ill_typed(config):
             assert code == 1 and lines[0].startswith("exsearch: error: UsageError: ")
-        elif code == 1 and not lines[0].startswith("exsearch: error: UsageError: "):
-            # synth-world reads only the seed; numpy rejects a negative one
-            assert lines == ["exsearch: error: ValueError: expected non-negative integer"]
-            assert config["seed"] < 0
+        elif config.get("seed", 0) < 0:  # the one setting synth-world checks the range of
+            assert lines == [f"exsearch: error: UsageError: seed must be >= 0, "
+                             f"got {config['seed']}"]
+        else:  # or a section that is not a table
+            assert code == 0 or lines[0].startswith("exsearch: error: UsageError: ")
 
 
 # (config section, field) for every setting train reads from a config file

@@ -802,6 +802,19 @@ class TestStubServer:
         (status, _, _, body), = replies
         assert status == 400 and "error" in json.loads(body) and closed
 
+    def test_a_raising_behavior_gets_500_and_its_traceback_printed(self, capsys):
+        def behavior(request):
+            raise RuntimeError("behavior failed")
+
+        with StubChatServer(behavior) as server:
+            with pytest.raises(urllib.error.HTTPError) as raised:
+                DIRECT.open(f"{server.base_url}/chat/completions", data=ORACLE_REQUEST,
+                            timeout=5)
+            raised.value.close()
+        assert raised.value.code == 500
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: behavior failed" in err
+
     @pytest.mark.parametrize("protocol", [None, "HTTP/1.1"])
     def test_get_gets_501_and_the_connection_closes(self, protocol):
         with stub_server(protocol) as server:
@@ -829,7 +842,7 @@ def test_importing_exsearch_leaves_requests_unloaded():
     assert sorted(m for m in loaded if m.split(".")[0] == "requests") == []
 
 
-@pytest.mark.parametrize("module", ["exsearch.stub", "exsearch.trajectory",
+@pytest.mark.parametrize("module", ["exsearch.stub", "exsearch.grammar", "exsearch.trajectory",
                                     "exsearch.retrieval", "exsearch.metrics", "exsearch.llm"])
 def test_light_modules_load_neither_numpy_nor_the_trainer(module):
     heavy = {"numpy", "exsearch.policy", "exsearch.training"}
@@ -838,3 +851,15 @@ def test_light_modules_load_neither_numpy_nor_the_trainer(module):
 
 def test_the_stub_loads_no_http_server():
     assert "http.server" not in loaded_modules("exsearch.stub")
+
+
+def test_the_stub_loads_only_the_grammar_of_the_package():
+    # each stub child process pays for these at start, and uses none of them
+    unused = {"exsearch.trajectory", "exsearch.errors", "dataclasses", "inspect", "traceback"}
+    assert sorted(loaded_modules("exsearch.stub") & unused) == []
+
+
+def test_oracle_instances_do_not_share_a_logprob_table():
+    first, second = ChainOracleBehavior(), ChainOracleBehavior()
+    first.logprob_table["ent1"] = -0.1
+    assert second.logprob_table == {}

@@ -21,6 +21,7 @@ from exsearch.retrieval import (
     build_index,
     load_index,
     save_index,
+    save_passages,
     search,
     tokenize,
 )
@@ -319,6 +320,21 @@ class TestPersistence:
         index = build_index(passages_from({"p": "alpha"}))
         save_index(index, tmp_path)
         assert load_index(tmp_path) == index
+
+    def test_save_passages_writes_the_bytes_of_save_index(self, tmp_path):
+        passages = passages_with_extras() + synth.render_corpus(
+            synth.generate_world(20, 3, 2, 1.0, 1))
+        save_passages(passages, tmp_path / "passages.exsidx")
+        save_index(build_index(passages), tmp_path / "index.exsidx")
+        assert ((tmp_path / "passages.exsidx").read_bytes()
+                == (tmp_path / "index.exsidx").read_bytes())
+
+    def test_save_passages_rejects_a_repeated_id(self, tmp_path):
+        path = tmp_path / "index.exsidx"
+        with pytest.raises(DuplicateId, match="x"):
+            save_passages([Passage(id="x", title="a", text="a"),
+                           Passage(id="x", title="b", text="b")], path)
+        assert not path.exists()
 
     def test_round_trip_on_10k_passage_world(self, tmp_path):
         world = synth.generate_world(1000, 10, 2, 1.0, 5)

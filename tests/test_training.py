@@ -667,13 +667,10 @@ class TestLogprobsFallback:
         # The endpoint scores the first request only; every entry of the
         # example, including the one scored before the loss, is reweighed
         # under reward-em instead of mixing the two modes in one softmax.
-        from dataclasses import dataclass
-
         from exsearch.llm import ChatPolicy, EndpointConfig, HttpChatClient
         from exsearch.stub import ChainOracleBehavior, StubChatServer
         from exsearch.synth import generate_world, make_questions, render_corpus
 
-        @dataclass
         class FirstScoreOnly(ChainOracleBehavior):
             def _score(self, target):
                 reply = super()._score(target)

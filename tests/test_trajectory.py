@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mutated, random_trajectory, repeated_subquery_hops
+from exsearch import grammar, trajectory
 from exsearch.errors import MalformedAction, MalformedFile, SchemaError
 from exsearch.policy import TabularPolicyParams
 from exsearch.synth import load_world
@@ -392,6 +393,12 @@ class TestActionScanner:
     def test_read_citations(self):
         assert read_citations("[2] > [10]>[1] and [x] or [3") == (2, 10, 1)
         assert read_citations("") == ()
+
+    @pytest.mark.parametrize("name", ["THINK", "SEARCH", "RECORD", "RANK", "FINAL",
+                                      "FINAL_VARIANTS", "match_tag", "iter_actions",
+                                      "read_citations"])
+    def test_trajectory_names_are_the_grammar_module_objects(self, name):
+        assert getattr(trajectory, name) is getattr(grammar, name)
 
     def test_no_space_after_the_tag_parses(self):
         parsed = parse_transcript("<THINK>ent0 rel0\n<SEARCH>[1][2]\n<RECORD>ent3\n"
