@@ -5,9 +5,11 @@ BM25 (k1=0.9, b=0.4) with the non-negative smoothed idf
 when it shares no term with the query; zero-scoring passages are never
 returned. No stemming or stopword removal; both title and body are indexed.
 A term's idf and a passage's length norm are fixed once the index is built,
-so :func:`build_index` stores each posting's whole BM25 weight and a query
-costs one pass adding up the weights in the posting lists of its distinct
-terms. The index is immutable after build and safe for concurrent searches.
+so :func:`build_index` stores each posting's whole BM25 weight. A query reads
+the posting lists of its distinct terms shortest first and stops reading
+them once the weights the rest could add cannot reach its top k (exact
+MaxScore, Turtle & Flood 1995); each passage it reads is scored in full.
+The index is immutable after build and safe for concurrent searches.
 
 An index file holds only the passages, stored as columns (ids, titles,
 texts, and the extras of the passages that have any); everything else in a
@@ -32,6 +34,11 @@ from .trajectory import Passage, ScoredPassage
 
 K1 = 0.9
 B = 0.4
+# A term's weight scale * tf / (tf + norm) is below its bound scale, the
+# build's idf * (K1 + 1), since norm >= K1 * (1 - B) > 0. Rounding can put a
+# sum of m weights about m * 1.1e-16 of itself above the exact sum; search
+# stops only when the bounds fall short of the k-th score by far more.
+_BOUND_MARGIN = 1e-9
 
 INDEX_MAGIC = b"EXSIDX1"
 INDEX_VERSION = 3
@@ -101,23 +108,54 @@ def search(index: CorpusIndex, query: str, k: int) -> list[ScoredPassage]:
     Results are sorted by score descending with ties broken by ascending
     passage id; passages scoring 0 are excluded. Raises EmptyIndex when the
     index holds no documents.
+
+    A term's weights lie below its bound ``idf * (K1 + 1)``. The posting
+    lists are read shortest first, and reading stops before a list once the
+    bounds of the lists left add up to less than the k-th best score so far:
+    no passage found only in those lists can enter the top k. Every passage
+    read is scored in full, its weights added in query order from 0.0, so
+    the results and their scores are those of adding up every list.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if index.doc_count == 0:
         raise EmptyIndex("cannot search an empty index")
-    scores: dict[str, float] = {}
-    get = scores.get
-    # Term at a time, in query order: every passage sums its terms' weights
-    # in the same order, so equal inputs give exactly equal (tied) scores.
-    for term in dict.fromkeys(tokenize(query)):
-        for pid, w in index.postings.get(term, {}).items():
-            scores[pid] = get(pid, 0.0) + w
-    if not scores:
+    get = index.postings.get
+    lists = [per_doc for term in dict.fromkeys(tokenize(query)) if (per_doc := get(term))]
+    if not lists:
         return []
+    floor = None
+    if len(lists) == 1:
+        scores = lists[0]  # 0.0 + w is w
+    else:
+        # The shortest list has the highest idf, hence the highest bound. A
+        # passage's weights added in query order from 0.0 have the bits of a
+        # term-at-a-time sum, so equal inputs still give exactly tied scores.
+        scores = {}
+        n = index.doc_count
+        order = sorted(lists, key=len)
+        for i, per_doc in enumerate(order):
+            if i:
+                if len(scores) >= k:
+                    bound = sum(math.log(1.0 + (n - len(rest) + 0.5) / (len(rest) + 0.5))
+                                * (K1 + 1.0) for rest in order[i:]) * (1.0 + _BOUND_MARGIN)
+                    above = [s for s in scores.values() if s > bound]
+                    if len(above) >= k:
+                        # A passage in none of the lists read scores below
+                        # bound: it can neither enter the top k nor tie with
+                        # its last entry, whose score is the k-th of above.
+                        floor = sorted(above, reverse=True)[k - 1]
+                        break
+                per_doc = per_doc.keys() - scores.keys()
+            for pid in per_doc:
+                score = 0.0
+                for weights in lists:
+                    score += weights.get(pid, 0.0)
+                scores[pid] = score
     # Every passage in the top k scores at least the k-th largest score;
     # sorting those few by id, then stably by score, breaks ties by id.
-    floor = heapq.nlargest(k, scores.values())[-1]
+    if floor is None:
+        floor = heapq.nlargest(k, scores.values())[-1]
     ranked = sorted(pid for pid, s in scores.items() if s >= floor)
     ranked.sort(key=scores.__getitem__, reverse=True)
     return [ScoredPassage(passage_ref=pid, score=scores[pid], rank=i)

@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 import json
 import math
 import re
@@ -25,7 +26,24 @@ from exsearch.retrieval import (
     search,
     tokenize,
 )
-from exsearch.trajectory import Passage
+from exsearch.trajectory import Passage, ScoredPassage
+
+
+def reference_search(index, query: str, k: int) -> list[ScoredPassage]:
+    """Term-at-a-time search: every posting of every distinct query term
+    added in query order, then the same top-k selection as ``search``."""
+    scores: dict[str, float] = {}
+    get = scores.get
+    for term in dict.fromkeys(tokenize(query)):
+        for pid, w in index.postings.get(term, {}).items():
+            scores[pid] = get(pid, 0.0) + w
+    if not scores:
+        return []
+    floor = heapq.nlargest(k, scores.values())[-1]
+    ranked = sorted(pid for pid, s in scores.items() if s >= floor)
+    ranked.sort(key=scores.__getitem__, reverse=True)
+    return [ScoredPassage(passage_ref=pid, score=scores[pid], rank=i)
+            for i, pid in enumerate(ranked[:k], 1)]
 
 
 def brute_force_bm25(passages: list[Passage], query: str) -> dict[str, float]:
@@ -260,6 +278,123 @@ class TestSearch:
                         search(build_index(passages_from(base)), "alpha beta", 3)]
         after = search(build_index(passages_from(with_extra)), "alpha beta", 4)
         assert [h.passage_ref for h in after] == order_before
+
+
+@pytest.fixture(scope="module", params=[1, 2])
+def world_index(request):
+    """A 1000 x 10 world at the given seed and its 10,000-passage index."""
+    world = synth.generate_world(1000, 10, 2, 1.0, request.param)
+    return world, build_index(synth.render_corpus(world))
+
+
+class CountingList(dict):
+    """A posting list that counts how often it is read as a whole."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+    def keys(self):
+        self.reads += 1
+        return super().keys()
+
+    def items(self):
+        self.reads += 1
+        return super().items()
+
+    def values(self):
+        self.reads += 1
+        return super().values()
+
+
+# A vocabulary whose draws make "a" common and "e" rare, so that document
+# frequencies, and with them the bounds, differ widely between terms.
+SKEWED_TERMS = ["a"] * 8 + ["b"] * 4 + ["c", "c", "d", "e"]
+
+
+@st.composite
+def skewed_corpora(draw):
+    """Passages mixing a few terms, each repeated up to 300 times, some of
+    them padded with up to 1,000 tokens of a filler no query holds."""
+    texts = {}
+    for j in range(draw(st.integers(1, 20))):
+        runs = draw(st.lists(st.tuples(st.sampled_from(SKEWED_TERMS),
+                                       st.one_of(st.just(1), st.integers(1, 300))),
+                             min_size=1, max_size=4))
+        filler = draw(st.one_of(st.just(0), st.integers(1, 1000)))
+        texts[f"p{j:02d}"] = " ".join([" ".join([term] * tf) for term, tf in runs]
+                                      + ["pad"] * filler)
+    return texts
+
+
+class TestMaxScore:
+    """``search`` stops reading posting lists that cannot reach the top k;
+    its results must be those of the term-at-a-time reference, bit for bit
+    (scores are positive and finite, so ``==`` compares their bits)."""
+
+    def test_equals_reference_on_10k_passage_worlds(self, world_index):
+        world, index = world_index
+        rng = np.random.default_rng(0)
+        relations = world.relations
+        queries = [f"ent{int(rng.integers(1000))} {relations[int(rng.integers(10))]}"
+                   for _ in range(40)]
+        vocab = sorted(index.postings) + ["absent"]
+        queries += [" ".join(vocab[int(i)] for i in rng.integers(0, len(vocab), size=size))
+                    for size in rng.integers(1, 6, size=40)]
+        queries += [" ".join(relations[int(i)] for i in rng.integers(0, 10, size=3))
+                    + f" ent{int(rng.integers(1000))}" for _ in range(10)]
+        # A passage's own three terms in a random order: its score adds three
+        # weights, whose sum can change in the last bit with their order.
+        ids = list(index.passages)
+        queries += [" ".join(rng.permutation(tokenize(index.passages[ids[int(i)]].text)))
+                    for i in rng.integers(0, len(ids), size=40)]
+        for query in queries:
+            for k in (1, 3, 10, index.doc_count):
+                assert search(index, query, k) == reference_search(index, query, k), (query, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(texts=skewed_corpora(),
+           query=st.lists(st.sampled_from(["a", "b", "c", "d", "e", "absent"]),
+                          min_size=1, max_size=5))
+    def test_equals_reference_on_skewed_corpora(self, texts, query):
+        index = build_index(passages_from(texts))
+        q = " ".join(query)
+        for k in range(1, index.doc_count + 2):
+            assert search(index, q, k) == reference_search(index, q, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(texts=skewed_corpora(), heavy=st.integers(1, 1000))
+    def test_every_weight_is_below_its_terms_bound(self, texts, heavy):
+        texts["heavy"] = " ".join(["e"] * heavy)
+        index = build_index(passages_from(texts))
+        n = index.doc_count
+        for term, per_doc in index.postings.items():
+            df = len(per_doc)
+            bound = math.log(1 + (n - df + .5) / (df + .5)) * (K1 + 1)
+            assert max(per_doc.values()) < bound, term
+
+    def test_k1_entity_relation_query_never_reads_the_relation_list(self, world_index):
+        world, index = world_index
+        counted = dataclasses.replace(index, postings={
+            term: CountingList(per_doc) for term, per_doc in index.postings.items()})
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            entity = f"ent{int(rng.integers(1000))}"
+            relation = world.relations[int(rng.integers(10))]
+            query = f"{entity} {relation}"
+            counted.postings[entity].reads = counted.postings[relation].reads = 0
+            assert search(counted, query, 1) == search(index, query, 1)
+            assert counted.postings[relation].reads == 0, query
+            assert counted.postings[entity].reads > 0
+            # Asking for every passage reads the relation list, so the count
+            # above is live.
+            everything = index.doc_count
+            assert search(counted, query, everything) == search(index, query, everything)
+            assert counted.postings[relation].reads > 0, query
 
 
 @pytest.fixture(scope="module")
