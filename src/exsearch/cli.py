@@ -32,7 +32,7 @@ from pathlib import Path
 
 from . import agent, llm, metrics, retrieval, synth, training, trajectory
 from .errors import (EndpointError, ExsearchError, InconsistentWeights, LogprobsUnsupported,
-                     UnknownId)
+                     NarrowRecordHead, UnknownId)
 from .policy import TabularPolicy, TabularPolicyParams
 
 EXIT_OK = 0
@@ -144,6 +144,21 @@ def _load_retriever(args, config: dict) -> retrieval.Retriever:
     raise UsageError("need --index (or a retriever.index config entry) or --world")
 
 
+def _load_params(path, agent_config: agent.AgentConfig) -> TabularPolicyParams:
+    """Read a params file whose record head covers every document a hop of
+    ``agent_config`` may record from: ``rerank_keep`` of them under
+    ``rerank``, ``k`` otherwise."""
+    params = TabularPolicyParams.load(path)
+    name, needed = (("rerank_keep", agent_config.rerank_keep) if agent_config.rerank
+                    else ("k", agent_config.k))
+    width = len(params.record_logits)
+    if width < needed:
+        raise NarrowRecordHead(f"{path}: record head of width {width} is narrower "
+                               f"than the {needed} documents a hop records from "
+                               f"({name} {needed})")
+    return params
+
+
 def _load_policy(args, config: dict, agent_config: agent.AgentConfig):
     if args.policy == "llm":
         client = llm.HttpChatClient(_endpoint_config(config))
@@ -154,7 +169,7 @@ def _load_policy(args, config: dict, agent_config: agent.AgentConfig):
     world = synth.load_world(world_path)
     params_path = getattr(args, "params", None)
     if params_path:
-        params = TabularPolicyParams.load(params_path)
+        params = _load_params(params_path, agent_config)
     else:
         params = TabularPolicyParams.uniform(len(world.relations),
                                              agent_config.budget, agent_config.k)
@@ -302,7 +317,7 @@ def cmd_train(args, config: dict) -> int:
                              e_step_mode="exact-enumeration" if exact else "sampled",
                              validation_metric="loglik" if exact else "em")
     if args.params_in:
-        params = TabularPolicyParams.load(args.params_in)
+        params = _load_params(args.params_in, agent_config)
     else:
         params = TabularPolicyParams.uniform(len(world.relations),
                                              agent_config.budget, agent_config.k)

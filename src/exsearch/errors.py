@@ -69,6 +69,11 @@ class UnrealizableTrajectory(DataError):
     """A stored trajectory cannot be reproduced under the current policy/retriever."""
 
 
+class NarrowRecordHead(DataError):
+    """A params file's record head has fewer outcomes than the documents a
+    hop of the run may record from."""
+
+
 class EnumerationTooLarge(DataError):
     """Exhaustive trajectory enumeration would exceed the configured cap."""
 

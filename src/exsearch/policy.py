@@ -28,11 +28,15 @@ gives the marginal likelihood of the gold answers, the posterior expected
 counts of every head and the ELBO in closed form at any budget. The
 lattice's edges depend on neither the example nor the parameters: one
 :class:`EdgeTable` per retriever, relation vocabulary, retrieval size and
-document selection holds them, and :meth:`EdgeTable.weigh` prices them once
-per policy (:class:`WeightedEdges`) for every lattice of that policy. The
-agent's document selection (``rerank``) is deterministic for the tabular
-policy, so it is part of the exact process: the table and the enumeration
-build each step from the documents it keeps. Exhaustive enumeration of the
+document selection holds them, and :meth:`EdgeTable.weigh` weighs them by a
+policy (:class:`WeightedEdges`) for every lattice of that policy. A policy
+prices each of its heads once, on first use, in one table that sampling, the
+lattice, :class:`FactorMass` and :meth:`TabularPolicy.score_answer` all
+read; a decision draws from that table's cumulative list exactly as
+``Generator.choice`` with ``p`` would draw. The agent's document selection
+(``rerank``) is deterministic for the tabular policy, so it is part of the
+exact process: the edge table and the enumeration build each step from the
+documents it keeps. Exhaustive enumeration of the
 trajectories (:meth:`TabularPolicy.enumerate_trajectories`) is kept as the
 independent oracle at desk scale.
 
@@ -43,6 +47,7 @@ expressible with finite logits.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -175,36 +180,93 @@ def question_start_entity(question: str) -> str:
 
 
 class TabularPolicy:
-    """Tractable reference policy over a fixed relation vocabulary."""
+    """Tractable reference policy over a fixed relation vocabulary.
+
+    Each head is priced on first use, once per policy, in one table: the
+    probabilities of a think row, of the record head over a number of
+    documents and of the answer head, as lists, the cumulative lists that
+    sampling draws from, and the log record mass of each record key.
+    Sampling, :class:`WeightedEdges`, :class:`FactorMass` and
+    :meth:`score_answer` all read it. The table assumes that the parameters
+    never change, so the policy makes its params' three logits arrays
+    read-only: a later in-place write raises ValueError. Build a new policy
+    (:meth:`with_params`) for new parameters.
+    """
 
     def __init__(self, params: TabularPolicyParams, relations: Sequence[str]):
         if params.think_logits.shape[1] != len(relations) + 1:
             raise ValueError(
                 f"think head width {params.think_logits.shape[1]} does not match "
                 f"{len(relations)} relations + STOP")
+        for logits in (params.think_logits, params.record_logits, params.answer_logits):
+            logits.flags.writeable = False
         self.params = params
         self.relations = tuple(relations)
+        # ("think", row), ("record", n_docs) and ("answer",) -> probabilities;
+        # ("cdf", *head) -> cumulative probabilities;
+        # ("log record", record key) -> log mass, None when the mass is 0.
+        self._priced: dict[tuple, list[float] | float | None] = {}
 
     def with_params(self, params: TabularPolicyParams) -> "TabularPolicy":
         return TabularPolicy(params, self.relations)
 
     # -- per-head distributions ------------------------------------------------
 
-    def think_probs(self, hop: int) -> np.ndarray:
-        rows = self.params.think_logits.shape[0]
-        row = self.params.think_logits[min(hop, rows) - 1]
-        return softmax(row)
+    def _probs(self, head: tuple) -> list[float]:
+        """The probabilities of ``head``, priced on first use. A record head
+        wider than the record logits raises UnrealizableTrajectory on every
+        call: an error is never cached."""
+        probs = self._priced.get(head)
+        if probs is None:
+            if head[0] == "think":
+                logits = self.params.think_logits[head[1]]
+            elif head[0] == "record":
+                logits = self.params.record_logits[:head[1]]
+                if len(logits) < head[1]:
+                    raise UnrealizableTrajectory(
+                        f"{head[1]} retrieved documents exceed the record head size "
+                        f"{len(self.params.record_logits)}")
+            else:
+                logits = self.params.answer_logits
+            probs = self._priced[head] = softmax(logits).tolist()
+        return probs
 
-    def record_probs(self, n_docs: int) -> np.ndarray:
-        logits = self.params.record_logits[:n_docs]
-        if len(logits) < n_docs:
-            raise UnrealizableTrajectory(
-                f"{n_docs} retrieved documents exceed the record head size "
-                f"{len(self.params.record_logits)}")
-        return softmax(logits)
+    def _think_head(self, hop: int) -> tuple[str, int]:
+        """Hops beyond the think table reuse its last row."""
+        return ("think", min(hop, self.params.think_logits.shape[0]) - 1)
 
-    def answer_probs(self) -> np.ndarray:
-        return softmax(self.params.answer_logits)
+    def think_probs(self, hop: int) -> list[float]:
+        return self._probs(self._think_head(hop))
+
+    def record_probs(self, n_docs: int) -> list[float]:
+        return self._probs(("record", n_docs))
+
+    def answer_probs(self) -> list[float]:
+        return self._probs(("answer",))
+
+    def log_record(self, key: tuple[int, tuple[int, ...]]) -> float | None:
+        """log of the record head's mass on the positions of record key
+        ``key`` (number of documents, positions); None when that mass is 0."""
+        entry = ("log record", key)
+        if entry not in self._priced:
+            probs = self.record_probs(key[0])
+            mass = sum(probs[j] for j in key[1])
+            self._priced[entry] = math.log(mass) if mass > 0.0 else None
+        return self._priced[entry]
+
+    def _draw(self, head: tuple, rng: np.random.Generator) -> int:
+        """One outcome of ``head``, drawn as ``rng.choice(n, p=probs)`` draws
+        it: numpy's cumulative table (the cumulative sum divided by its last
+        entry) searched to the right of one ``rng.random()`` double. The
+        outcome and the generator's state after the draw are numpy's, and a
+        one-outcome head consumes its double too."""
+        entry = ("cdf", *head)
+        cdf = self._priced.get(entry)
+        if cdf is None:
+            cumulative = np.cumsum(self._probs(head))
+            cumulative /= cumulative[-1]
+            cdf = self._priced[entry] = cumulative.tolist()
+        return bisect.bisect_right(cdf, rng.random())
 
     def answer_positions(self, last_evidence: str,
                          targets: Sequence[str]) -> tuple[int, ...]:
@@ -221,8 +283,7 @@ class TabularPolicy:
 
     def propose_subquery(self, history: Trajectory,
                          rng: np.random.Generator) -> str | None:
-        probs = self.think_probs(len(history.steps) + 1)
-        idx = int(rng.choice(len(probs), p=probs))
+        idx = self._draw(self._think_head(len(history.steps) + 1), rng)
         if idx == len(self.relations):
             return None
         entity = (history.last_evidence if history.steps
@@ -233,12 +294,10 @@ class TabularPolicy:
                          rng: np.random.Generator) -> str:
         if not documents:
             raise NoDocuments("cannot extract evidence from an empty document list")
-        probs = self.record_probs(len(documents))
-        return passage_object(documents[int(rng.choice(len(probs), p=probs))])
+        return passage_object(documents[self._draw(("record", len(documents)), rng)])
 
     def answer(self, trajectory: Trajectory, rng: np.random.Generator) -> str:
-        probs = self.answer_probs()
-        return (trajectory.last_evidence, ABSTAIN)[int(rng.choice(len(probs), p=probs))]
+        return (trajectory.last_evidence, ABSTAIN)[self._draw(("answer",), rng)]
 
     def score_answer(self, question: str, trajectory: Trajectory, y: str) -> float:
         """log of the probability mass the answer head assigns to exactly y.
@@ -476,7 +535,9 @@ class FactorMass:
     by (number of documents, positions that yield the evidence); answer
     factors by the positions that yield a target answer.
     :meth:`TabularPolicy.replay` fills it from trajectories and
-    :attr:`Lattice.posterior` from a posterior."""
+    :attr:`Lattice.posterior` from a posterior. Its counts and
+    log-probability read the heads' probabilities and log record masses
+    from the policy's table of priced heads."""
 
     think: np.ndarray
     record: dict[tuple[int, tuple[int, ...]], float] = field(default_factory=dict)
@@ -486,19 +547,13 @@ class FactorMass:
     def zeros(cls, params: TabularPolicyParams) -> "FactorMass":
         return cls(np.zeros_like(params.think_logits))
 
-    def _record_probs(self, policy: TabularPolicy) -> dict[int, np.ndarray]:
-        """The record head's probabilities for each number of documents
-        among this mass's record factors, each computed once."""
-        return {n_docs: policy.record_probs(n_docs) for n_docs in {n for n, _ in self.record}}
-
     def counts(self, policy: TabularPolicy) -> ExpectedCounts:
         """Expected counts of every head. Record and answer counts are split
         within a factor in proportion to ``policy``'s probabilities."""
         counts = ExpectedCounts.zeros(policy.params)
         counts.think += self.think
-        record = self._record_probs(policy)
         for (n_docs, positions), q in self.record.items():
-            add_split(counts.record, record[n_docs], positions, q)
+            add_split(counts.record, policy.record_probs(n_docs), positions, q)
         answer = policy.answer_probs()
         for positions, q in self.answer.items():
             add_split(counts.answer, answer, positions, q)
@@ -513,10 +568,9 @@ class FactorMass:
             for col in np.flatnonzero(self.think[row]):
                 p = probs[col]
                 total += self.think[row, col] * (math.log(p) if p > 0.0 else LOG_FLOOR)
-        record = self._record_probs(policy)
-        for (n_docs, positions), q in self.record.items():
-            mass = sum(record[n_docs][j] for j in positions)
-            total += q * (math.log(mass) if mass > 0.0 else LOG_FLOOR)
+        for key, q in self.record.items():
+            log_mass = policy.log_record(key)
+            total += q * (log_mass if log_mass is not None else LOG_FLOOR)
         answer = policy.answer_probs()
         for positions, q in self.answer.items():
             mass = sum(answer[j] for j in positions)
@@ -580,7 +634,8 @@ class EdgeTable:
 class WeightedEdges:
     """An :class:`EdgeTable` under one policy: the moves out of each
     (hop, entity) state, computed on first use and shared by every
-    :class:`Lattice` of that policy.
+    :class:`Lattice` of that policy. The heads' probabilities and log
+    record masses come from the policy's own table.
 
     A move is (relation index, record key, next entity, log-prob); the
     record key is None after an empty retrieval, which has no record
@@ -594,31 +649,13 @@ class WeightedEdges:
             raise ValueError("the edge table was built for other relations")
         self.policy = policy
         self.table = table
-        self.answer = policy.answer_probs().tolist()
-        self._think: dict[int, list[float]] = {}
-        self._log_records: dict[tuple[int, tuple[int, ...]], float | None] = {}
         self._moves: dict[tuple[int, str], list[tuple]] = {}
-
-    def think_probs(self, hop: int) -> list[float]:
-        if hop not in self._think:
-            self._think[hop] = self.policy.think_probs(hop).tolist()
-        return self._think[hop]
-
-    def log_record(self, key: tuple[int, tuple[int, ...]]) -> float | None:
-        """log of the record head's mass on the positions of record key
-        ``key``; None when that mass is 0."""
-        if key not in self._log_records:
-            n_docs, positions = key
-            rec = self.policy.record_probs(n_docs).tolist()
-            mass = sum(rec[j] for j in positions)
-            self._log_records[key] = math.log(mass) if mass > 0.0 else None
-        return self._log_records[key]
 
     def moves(self, hop: int, entity: str) -> list[tuple]:
         key = (hop, entity)
         if key in self._moves:
             return self._moves[key]
-        probs = self.think_probs(hop)
+        probs = self.policy.think_probs(hop)
         moves = []
         for idx in range(len(self.table.relations)):
             if probs[idx] == 0.0:
@@ -628,7 +665,7 @@ class WeightedEdges:
                 if record_key is None:
                     moves.append((idx, None, nxt, log_rel))
                     continue
-                log_mass = self.log_record(record_key)
+                log_mass = self.policy.log_record(record_key)
                 if log_mass is not None:
                     moves.append((idx, record_key, nxt, log_rel + log_mass))
         self._moves[key] = moves
@@ -644,7 +681,8 @@ class Lattice:
     state's edges are think (relation) x retrieval x record, where the
     record head pools the positions that yield the same evidence text; they
     come from ``edges``, an :class:`EdgeTable` weighted by the policy, which
-    also gives the document selection when the agent reranks. A path ends
+    also gives the document selection when the agent reranks. The think and
+    answer probabilities come from the policy's table of priced heads. A path ends
     with STOP at hop h <= budget or by running out of budget, and each end
     carries the answer head's mass on the gold texts. Branches of
     probability 0 are pruned as enumeration prunes them, and
@@ -662,7 +700,7 @@ class Lattice:
     def __init__(self, edges: WeightedEdges, example: Example, budget: int):
         policy = self.policy = edges.policy
         golds = tuple(dict.fromkeys(example.gold_answers))
-        answer = edges.answer
+        answer = policy.answer_probs()
         # The answer positions yielding a gold answer after each last
         # evidence, and the log of their mass (None when it is 0).
         answers: dict[str, tuple[tuple[int, ...], float | None]] = {}
@@ -676,7 +714,7 @@ class Lattice:
         frontier = {question_start_entity(example.question): 0.0}
         ends: list[float] = []
         for hop in range(1, budget + 2):
-            probs = edges.think_probs(hop)
+            probs = policy.think_probs(hop)
             incoming: dict[str, list[float]] = {}
             layer = []
             for entity, log_alpha in frontier.items():

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import socketserver
 import threading
 from collections.abc import Callable, Sequence
@@ -170,6 +171,18 @@ class ChainOracleBehavior:
 class _Server(socketserver.ThreadingTCPServer):
     daemon_threads = True  # as http.server's ThreadingHTTPServer sets them
     allow_reuse_address = True
+    stopping = False
+
+    def serve_until_stopped(self) -> None:
+        """Accept connections until ``stopping`` is set. ``handle_request``
+        waits without a timeout, so an idle server never wakes up; the
+        connection :meth:`StubChatServer.__exit__` opens after setting
+        ``stopping`` ends the last wait, and is refused unserved."""
+        while not self.stopping:
+            self.handle_request()
+
+    def verify_request(self, request, client_address) -> bool:
+        return not self.stopping
 
 
 class StubChatServer:
@@ -190,6 +203,10 @@ class StubChatServer:
     ``Connection: close`` or says ``Connection: keep-alive``. The handler
     class is ``_server.RequestHandlerClass``, one per server; setting its
     ``disable_nagle_algorithm`` turns on TCP_NODELAY.
+
+    The ``with`` block runs the server. Leaving it stops the server at once:
+    the accept loop waits with no poll interval, and the exit wakes it with
+    one connection that it refuses.
     """
 
     def __init__(self, behavior: Responder):
@@ -255,7 +272,8 @@ class StubChatServer:
                 return keep_alive
 
         self._server = _Server(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self._server.serve_until_stopped,
+                                        daemon=True)
 
     @property
     def base_url(self) -> str:
@@ -267,5 +285,9 @@ class StubChatServer:
         return self
 
     def __exit__(self, *exc) -> None:
-        self._server.shutdown()
+        self._server.stopping = True
+        # A connection wakes the accept loop at once; it waits in the listen
+        # backlog if the loop has not yet begun to wait.
+        socket.create_connection(self._server.server_address).close()
+        self._thread.join()
         self._server.server_close()

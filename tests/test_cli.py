@@ -238,6 +238,43 @@ class TestTrainAndAsk:
         assert ((tmp_path / "resumed.json").read_bytes()
                 == (tmp_path / "two.json").read_bytes())
 
+    @staticmethod
+    def one_wide_record_head(world_dir, tmp_path):
+        path = tmp_path / "narrow.json"
+        world = synth.load_world(world_dir / "world.json")
+        TabularPolicyParams.uniform(len(world.relations), budget=2, k=1).save(path)
+        return path
+
+    def test_explore_refuses_a_record_head_narrower_than_k_at_load(
+            self, world_dir, tmp_path, capsys):
+        narrow = self.one_wide_record_head(world_dir, tmp_path)
+        explore = ["explore", "--examples", str(world_dir / "examples.jsonl"),
+                   "--policy", "tabular", "--world", str(world_dir / "world.json"),
+                   "--params", str(narrow), "--budget", "2", "--k", "3", "--samples", "1"]
+        line = main_error_line(capsys, [*explore, "--out", str(tmp_path / "k3.jsonl")])
+        assert line == (f"exsearch: error: NarrowRecordHead: {narrow}: record head of "
+                        "width 1 is narrower than the 3 documents a hop records from (k 3)")
+        assert not (tmp_path / "k3.jsonl").exists()
+        # under --rerank a hop records from the rerank_keep documents it keeps
+        line = main_error_line(capsys, [*explore, "--rerank", "--rerank-keep", "2",
+                                        "--out", str(tmp_path / "keep2.jsonl")])
+        assert line.endswith("narrower than the 2 documents a hop records from "
+                             "(rerank_keep 2)")
+        assert main([*explore, "--rerank", "--rerank-keep", "1",
+                     "--out", str(tmp_path / "keep1.jsonl")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "keep1.jsonl").exists()
+
+    def test_train_refuses_params_in_narrower_than_k_at_load(self, world_dir, tmp_path,
+                                                             capsys):
+        narrow = self.one_wide_record_head(world_dir, tmp_path)
+        assert self.train(world_dir, tmp_path, "resumed", "--mode", "sampled",
+                          "--params-in", str(narrow)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"exsearch: error: NarrowRecordHead: {narrow}: record head of "
+                       "width 1 is narrower than the 3 documents a hop records from (k 3)"]
+        assert not (tmp_path / "resumed.json").exists()
+
     def test_exact_train_applies_rerank(self, world_dir, tmp_path, capsys):
         # Keeping one selected document per hop is a different process from
         # recording among all three retrieved ones, so exact training on it

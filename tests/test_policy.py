@@ -247,6 +247,68 @@ class TestAnswerHead:
         assert policy.answer(t, np.random.default_rng(0)) in ("", ABSTAIN)
 
 
+class TestPricedHeads:
+    """Each head is priced once per policy; decisions draw from its
+    cumulative list exactly as ``Generator.choice`` draws with ``p``."""
+
+    @staticmethod
+    def random_logits(rng, width):
+        logits = rng.normal(scale=3.0, size=width)
+        logits[rng.random(width) < 0.3] = LOG_FLOOR
+        return logits
+
+    def test_draws_equal_generator_choice_draw_for_draw(self):
+        for seed in range(1500):
+            rng = np.random.default_rng(seed)
+            record = self.random_logits(rng, 11)
+            answer = self.random_logits(rng, 2)
+            policy = TabularPolicy(TabularPolicyParams(np.zeros((1, 2)), record, answer),
+                                   ("r1",))
+            ours, numpy_s = np.random.default_rng(seed), np.random.default_rng(seed)
+            # every width 1-11 in a seeded order, each drawn twice, the second
+            # time from the cached list
+            widths = [int(w) for w in rng.permutation(np.arange(1, 12))] * 2
+            for n in widths:
+                want = int(numpy_s.choice(n, p=softmax(record[:n])))
+                assert policy._draw(("record", n), ours) == want, (seed, n)
+            want = int(numpy_s.choice(2, p=softmax(answer)))
+            assert policy._draw(("answer",), ours) == want, seed
+            assert ours.bit_generator.state == numpy_s.bit_generator.state, seed
+
+    def test_heads_return_the_softmax_of_their_logits(self):
+        params = TabularPolicyParams(np.array([[0.3, -1.0, 2.0], [1.0, 0.0, LOG_FLOOR]]),
+                                     np.array([0.5, -0.5, 1.5]), np.array([0.2, -0.2]))
+        policy = TabularPolicy(params, ("r1", "r2"))
+        assert policy.think_probs(1) == softmax(params.think_logits[0]).tolist()
+        # hops beyond the table reuse its last row
+        assert policy.think_probs(5) is policy.think_probs(2)
+        assert policy.think_probs(2) == softmax(params.think_logits[1]).tolist()
+        assert policy.record_probs(2) == softmax(params.record_logits[:2]).tolist()
+        assert policy.answer_probs() == softmax(params.answer_logits).tolist()
+        assert policy.log_record((3, (0, 2))) == math.log(
+            sum(softmax(params.record_logits)[[0, 2]]))
+
+    def test_a_record_head_too_narrow_raises_on_every_call(self):
+        policy = TabularPolicy(TabularPolicyParams.uniform(1, budget=1, k=2), ("r1",))
+        for _ in range(2):
+            with pytest.raises(UnrealizableTrajectory, match="record head size 2"):
+                policy.record_probs(3)
+            with pytest.raises(UnrealizableTrajectory, match="record head size 2"):
+                policy.extract_evidence(TestExtractEvidence().docs("B", "C", "D"),
+                                        np.random.default_rng(0))
+        assert policy.record_probs(2) == [0.5, 0.5]
+
+    def test_logits_are_read_only_once_a_policy_holds_them(self):
+        params = TabularPolicyParams.uniform(2, budget=1, k=2)
+        params.think_logits[0, 0] = 1.0  # writable before
+        policy = TabularPolicy(params, ("r1", "r2"))
+        before = policy.think_probs(1)
+        for logits in (params.think_logits, params.record_logits, params.answer_logits):
+            with pytest.raises(ValueError, match="read-only"):
+                logits[0] = 5.0
+        assert policy.think_probs(1) == before == softmax(params.think_logits[0]).tolist()
+
+
 class TestTrajectoryLogProb:
     def test_deterministic_policy_log_prob_zero(self):
         world = tiny_world([("A", "r1", "B")], ("r1", "r2"))

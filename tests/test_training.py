@@ -1,5 +1,7 @@
+import collections
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from conftest import (
     one_hot,
     uniform_policy,
 )
+from exsearch import policy as policy_module
 from exsearch import training
 from exsearch.agent import AgentConfig
 from exsearch.errors import EndpointError, MissingAnnotation, UnrealizableTrajectory
@@ -397,6 +400,30 @@ class TestEmTrain:
                               retriever, config, AgentConfig(budget=2, k=3), seed=0)
         assert len(reports) == 3
         assert calls == ["m_step_tabular", "compute_elbo"] * 3
+
+    @pytest.mark.parametrize("mode,validation", [("sampled", "em"),
+                                                 ("exact-enumeration", "loglik")])
+    def test_each_head_is_priced_once_per_policy(self, monkeypatch, mode, validation):
+        # Every softmax of the policy module prices one head of one policy.
+        priced = collections.Counter()
+        original = policy_module.softmax
+
+        def counting(logits):
+            caller = sys._getframe(1).f_locals
+            priced[caller["self"], caller["head"]] += 1
+            return original(logits)
+
+        monkeypatch.setattr(policy_module, "softmax", counting)
+        world, questions, retriever = chain_world(seed=1, n_questions=4)
+        config = TrainConfig(iterations=1, samples_per_example=4, e_step_mode=mode,
+                             early_stop_patience=0, validation_metric=validation)
+        reports, _ = em_train(questions[:2], uniform_policy(world, budget=2, k=3),
+                              retriever, config, AgentConfig(budget=2, k=3), seed=0,
+                              val_examples=questions[2:])
+        assert len(reports) == 1 and reports[0].failures == 0
+        assert len({policy for policy, _head in priced}) == 2  # before and after the M-step
+        assert {head[0] for _policy, head in priced} == {"think", "record", "answer"}
+        assert set(priced.values()) == {1}
 
     def test_failed_episodes_are_reported_per_iteration(self):
         class FailsFirstEpisode(TabularPolicy):
