@@ -424,11 +424,20 @@ def cmd_warmup_format(args, config: dict) -> int:
 # -- wiring ---------------------------------------------------------------------
 
 
+class _Jobs(argparse.Action):
+    """Stores ``--jobs``, a worker thread count of at least 1."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 1:
+            raise UsageError(f"--jobs must be >= 1, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="engine config file (JSON; TOML on 3.11+)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=int, default=1, action=_Jobs,
                    help="worker threads for batch commands (pays off only "
                         "for endpoint-bound work)")
 
@@ -572,8 +581,8 @@ def _parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         config = _load_config(args.config)
         return args.func(args, config)
     except (UsageError, ValueError, ExsearchError, OSError) as exc:

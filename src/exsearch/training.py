@@ -34,7 +34,7 @@ import concurrent.futures
 import csv
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -119,8 +119,8 @@ class ExampleBatch:
 
 @dataclass(frozen=True)
 class IterationReport:
-    """One completed training iteration; ``failures`` counts the E-step's
-    failed episodes (always 0 in exact mode, which runs none)."""
+    """One completed training iteration; ``failures`` counts its failed
+    episodes, sampled E-step and ``em``/``acc`` validation alike."""
 
     iteration: int
     train_loglik: float | None
@@ -139,6 +139,12 @@ class Exploration:
     results: list[tuple[int, EpisodeResult]]
     errors: list[tuple[int, ExsearchError]]
 
+    def logged_failures(self) -> int:
+        """Log each failed sample as a warning; return how many failed."""
+        for i, exc in self.errors:
+            logger.warning("episode failed for %s sample %d: %s", self.example.id, i, exc)
+        return len(self.errors)
+
 
 def explore(examples: Sequence[Example], policy, retriever: Retriever,
             agent_config: AgentConfig, samples: int, seed: int = 0,
@@ -149,7 +155,8 @@ def explore(examples: Sequence[Example], policy, retriever: Retriever,
     sample_base + i)`` and in its own episode from ``policy.start``, so
     ``jobs`` worker threads never change a result. An episode that raises
     ExsearchError is kept as an error on its exploration, never aborting
-    the others.
+    the others. Callers: the CLI's ``explore``, :func:`e_step`, and
+    :func:`_validation_score`, keyed ``validation:<id>`` at sample ``iteration``.
     """
     def explore_one(example: Example) -> Exploration:
         found = Exploration(example=example, results=[], errors=[])
@@ -169,7 +176,7 @@ def explore(examples: Sequence[Example], policy, retriever: Retriever,
 
 
 def weigh(example: Example, samples: Sequence[tuple[Trajectory, str]],
-          weight_mode: str, policy=None, failures: int = 0) -> ExampleBatch:
+          weight_mode: str, policy=None) -> ExampleBatch:
     """Weight one example's (trajectory, answer) samples under ``weight_mode``.
 
     The raw log-weight is the policy's log-probability of any gold answer
@@ -189,12 +196,12 @@ def weigh(example: Example, samples: Sequence[tuple[Trajectory, str]],
         reward = REWARD_FNS[weight_mode]
         entries = [(t, a, float(reward(a, golds))) for t, a in samples]
     if not entries:
-        return ExampleBatch(example=example, items=[], failures=failures)
+        return ExampleBatch(example=example, items=[])
     weights = softmax([raw for _t, _a, raw in entries])
     items = [WeightedTrajectory(trajectory=t, answer=a, log_weight=raw,
                                 weight=float(w), weight_mode=weight_mode)
              for (t, a, raw), w in zip(entries, weights)]
-    return ExampleBatch(example=example, items=items, failures=failures)
+    return ExampleBatch(example=example, items=items)
 
 
 def e_step(examples: Sequence[Example], policy, retriever: Retriever,
@@ -218,18 +225,15 @@ def e_step(examples: Sequence[Example], policy, retriever: Retriever,
     batches = []
     for found in explore(examples, policy, retriever, agent_config,
                          config.samples_per_example, seed, sample_base, jobs):
-        for i, exc in found.errors:
-            logger.warning("episode failed for %s sample %d: %s",
-                           found.example.id, i, exc)
+        failures = found.logged_failures()
         samples = [(r.trajectory, r.answer) for _i, r in found.results]
         try:
-            batch = weigh(found.example, samples, config.weight_mode, policy,
-                          len(found.errors))
+            batch = weigh(found.example, samples, config.weight_mode, policy)
         except LogprobsUnsupported:
             logger.warning("endpoint lacks logprobs; falling back to reward-em "
                            "weighting for %s", found.example.id)
-            batch = weigh(found.example, samples, "reward-em", policy,
-                          len(found.errors))
+            batch = weigh(found.example, samples, "reward-em", policy)
+        batch.failures = failures
         batches.append(batch)
     return batches
 
@@ -242,13 +246,8 @@ def _batch_has_signal(batch: ExampleBatch) -> bool:
     weights are uniform over unsupportive trajectories and updating on them
     would reinforce noise; such examples are skipped for the iteration.
     """
-    for wt in batch.items:
-        if wt.weight_mode.startswith("reward-"):
-            if wt.log_weight > 0.0:
-                return True
-        elif wt.log_weight > LOG_FLOOR:
-            return True
-    return False
+    return any(wt.log_weight > (0.0 if wt.weight_mode.startswith("reward-") else LOG_FLOOR)
+               for wt in batch.items)
 
 
 def _updated_logits(old_row: np.ndarray, counts: np.ndarray,
@@ -353,17 +352,18 @@ def mean_train_loglik(policy: TabularPolicy, examples: Sequence[Example],
 
 
 def _validation_score(policy, examples: Sequence[Example], retriever: Retriever,
-                      config: TrainConfig, agent_config: AgentConfig,
-                      seed: int, iteration: int, table: EdgeTable) -> float:
+                      config: TrainConfig, agent_config: AgentConfig, seed: int,
+                      iteration: int, table: EdgeTable, jobs: int) -> tuple[float, int]:
+    """(score, failed episodes): the mean lattice log-marginal (``loglik``), or the
+    mean ``em``/``acc`` of one :func:`explore` episode per example, 0 when it fails."""
     if config.validation_metric == "loglik":
-        return _mean_loglik(_lattices(policy, examples, table, agent_config.budget))
+        return _mean_loglik(_lattices(policy, examples, table, agent_config.budget)), 0
     metric = exact_match if config.validation_metric == "em" else accuracy
-    scores = []
-    for ex in examples:
-        rng = episode_rng(seed, f"validation:{ex.id}", iteration)
-        result = run_episode(ex.question, policy, retriever, agent_config, rng)
-        scores.append(metric(result.answer, list(ex.gold_answers)))
-    return float(np.mean(scores))
+    found = explore([replace(ex, id=f"validation:{ex.id}") for ex in examples], policy,
+                    retriever, agent_config, 1, seed, iteration, jobs)
+    scores = [metric(f.results[0][1].answer, list(f.example.gold_answers))
+              if f.results else 0.0 for f in found]
+    return float(np.mean(scores)), sum(f.logged_failures() for f in found)
 
 
 def em_train(examples: Sequence[Example], policy: TabularPolicy,
@@ -389,14 +389,16 @@ def em_train(examples: Sequence[Example], policy: TabularPolicy,
     ``EARLY_STOP_MIN_DELTA`` for ``early_stop_patience`` consecutive
     iterations (patience 0 disables).
     Returns one report per completed iteration plus the final parameters.
-    Exact mode raises ValueError when ``agent_config`` stops episodes on a
-    repeated sub-query (``dedup_subqueries``).
+    Raises ValueError on an empty training or validation set, or in exact
+    mode on ``agent_config.dedup_subqueries`` (stop on a repeated sub-query).
     """
     exact = config.e_step_mode == "exact-enumeration"
     if exact and agent_config.dedup_subqueries:
         raise ValueError("exact training cannot stop on a repeated sub-query "
                          "(dedup): the lattice's states do not record the path")
     val = list(val_examples) if val_examples is not None else list(examples)
+    if not examples or not val:
+        raise ValueError("em_train needs non-empty training and validation sets")
     table = _edge_table(policy, retriever, agent_config)
     lattices = None
     reports: list[IterationReport] = []
@@ -404,8 +406,7 @@ def em_train(examples: Sequence[Example], policy: TabularPolicy,
     streak = 0
     for iteration in range(config.iterations):
         started = time.perf_counter()
-        train_loglik = None
-        failures = 0
+        train_loglik, failures = None, 0
         if exact:
             if lattices is None:
                 lattices = _lattices(policy, examples, table, agent_config.budget)
@@ -421,15 +422,14 @@ def em_train(examples: Sequence[Example], policy: TabularPolicy,
         if exact:
             lattices = _lattices(policy, examples, table, agent_config.budget)
             train_loglik = _mean_loglik(lattices)
-        if exact and val_examples is None and config.validation_metric == "loglik":
-            score = train_loglik
-        else:
-            score = _validation_score(policy, val, retriever, config, agent_config,
-                                      seed, iteration, table)
+        score, val_failures = train_loglik, 0
+        if not (exact and val_examples is None and config.validation_metric == "loglik"):
+            score, val_failures = _validation_score(
+                policy, val, retriever, config, agent_config, seed, iteration, table, jobs)
         reports.append(IterationReport(
             iteration=iteration, train_loglik=train_loglik, elbo=elbo,
             validation_score=score, wall_time=time.perf_counter() - started,
-            failures=failures))
+            failures=failures + val_failures))
         if best is None or score > best + EARLY_STOP_MIN_DELTA:
             best = score
             streak = 0

@@ -161,6 +161,15 @@ class TestUsageErrors:
         assert result.returncode == 1
         assert "UsageError" in result.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["explore", "--examples", "e.jsonl", "--out", "o.jsonl", "--jobs", "0"],
+        ["train", "--world", "w.json", "--examples", "e.jsonl", "--params-out", "p.json",
+         "--history", "h.csv", "--jobs", "-4"],
+    ], ids=["explore-zero", "train-negative"])
+    def test_jobs_below_one_exits_1_with_one_line(self, capsys, argv):
+        line = main_error_line(capsys, argv, 1)
+        assert line == f"exsearch: error: UsageError: --jobs must be >= 1, got {argv[-1]}"
+
 
 class TestTrainAndAsk:
     def test_train_then_ask_reaches_gold(self, world_dir, tmp_path, capsys):
@@ -221,6 +230,21 @@ class TestTrainAndAsk:
                                   for row in csv.DictReader(fh)])
         assert len(histories[0]) == 3
         assert histories[1] == histories[0]
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_empty_training_or_validation_set_exits_1(self, world_dir, tmp_path, capsys,
+                                                       mode):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        examples = str(world_dir / "examples.jsonl")
+        for train, val in ((str(empty), []), (examples, ["--val", str(empty)])):
+            line = main_error_line(capsys, [
+                "train", "--world", str(world_dir / "world.json"), "--examples", train,
+                *val, "--mode", mode, "--params-out", str(tmp_path / "p.json"),
+                "--history", str(tmp_path / "h.csv")], 1)
+            assert line == ("exsearch: error: ValueError: em_train needs non-empty "
+                            "training and validation sets")
+            assert not (tmp_path / "p.json").exists()
 
     def train(self, world_dir, tmp_path, name, *flags):
         return main(["train", "--world", str(world_dir / "world.json"),

@@ -1,4 +1,6 @@
 import collections
+import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -17,8 +19,9 @@ from conftest import (
 )
 from exsearch import policy as policy_module
 from exsearch import training
-from exsearch.agent import AgentConfig
+from exsearch.agent import AgentConfig, episode_rng, run_episode
 from exsearch.errors import EndpointError, MissingAnnotation, UnrealizableTrajectory
+from exsearch.metrics import accuracy, exact_match
 from exsearch.policy import (
     ABSTAIN,
     LOG_FLOOR,
@@ -445,6 +448,16 @@ class TestEmTrain:
         reports, _ = em_train(questions, FailsFirstEpisode(params, world.relations),
                               retriever, config, AgentConfig(budget=2, k=3), seed=0)
         assert [r.failures for r in reports] == [1, 0]
+
+    @pytest.mark.parametrize("mode", ["exact-enumeration", "sampled"])
+    def test_empty_training_or_validation_set_raises(self, monkeypatch, mode):
+        world, questions, retriever = chain_world(seed=1, n_questions=3)
+        monkeypatch.setattr(training, "_edge_table", None)  # raised before any work
+        config = TrainConfig(iterations=1, e_step_mode=mode, validation_metric="em")
+        for train, val in (([], None), ([], questions), (questions, [])):
+            with pytest.raises(ValueError, match="non-empty training and validation"):
+                em_train(train, uniform_policy(world, budget=2, k=3), retriever, config,
+                         AgentConfig(budget=2, k=3), val_examples=val)
 
     def test_history_csv_layout(self, tmp_path):
         world, questions, retriever = chain_world(seed=1, n_questions=3)
@@ -991,3 +1004,108 @@ class TestExactTraining:
         lls = [r.train_loglik for r in reports]
         assert len(lls) == 5
         assert all(b - a >= -1e-9 for a, b in zip(lls, lls[1:]))
+
+
+def reference_validation(policy, examples, retriever, acfg, metric, seed, iteration):
+    """The em/acc validation score as a plain episode loop: one episode per
+    example on the stream ``validation:<id>`` at sample ``iteration``."""
+    score = exact_match if metric == "em" else accuracy
+    return float(np.mean([
+        score(run_episode(ex.question, policy, retriever, acfg,
+                          episode_rng(seed, f"validation:{ex.id}", iteration)).answer,
+              list(ex.gold_answers))
+        for ex in examples]))
+
+
+def trained_policies(monkeypatch):
+    """The policies em_train validates, one per iteration, in order: the
+    policy compute_elbo scores right after each M-step."""
+    policies = []
+    original = training.compute_elbo
+
+    def spy(policy, masses):
+        policies.append(policy)
+        return original(policy, masses)
+
+    monkeypatch.setattr(training, "compute_elbo", spy)
+    return policies
+
+
+class TestValidationEpisodes:
+    """em/acc validation runs one explore episode per example."""
+
+    @pytest.mark.parametrize("rerank", [False, True])
+    @pytest.mark.parametrize("metric", ["em", "acc"])
+    @pytest.mark.parametrize("mode", ["sampled", "exact-enumeration"])
+    def test_scores_match_reference_loop(self, monkeypatch, mode, metric, rerank):
+        policies = trained_policies(monkeypatch)
+        world, questions, retriever = chain_world(seed=5, n_questions=10)
+        acfg = AgentConfig(budget=2, k=3, rerank=rerank, rerank_keep=1 if rerank else 3)
+        config = TrainConfig(iterations=3, samples_per_example=2, e_step_mode=mode,
+                             early_stop_patience=0, validation_metric=metric)
+        scores = set()
+        for val in (None, questions[4:]):
+            policies.clear()
+            reports, _ = em_train(questions[:4], uniform_policy(world, 2, 3), retriever,
+                                  config, acfg, seed=7, val_examples=val)
+            expected = [reference_validation(policy, val or questions[:4], retriever, acfg,
+                                             metric, 7, i)
+                        for i, policy in enumerate(policies)]
+            assert [r.validation_score for r in reports] == expected
+            scores.update(expected)
+        assert len(scores) > 1  # the scores move with the policy and the stream
+
+    @pytest.mark.parametrize("mode", ["sampled", "exact-enumeration"])
+    def test_failed_episode_scores_zero_and_is_counted(self, monkeypatch, caplog, mode):
+        world, questions, retriever = chain_world(seed=3, n_questions=8)
+        failing = questions[5]
+
+        class FailsOnOneQuestion(TabularPolicy):
+            def with_params(self, params):
+                return FailsOnOneQuestion(params, self.relations)
+
+            def start(self, question):
+                if question == failing.question:
+                    raise EndpointError("endpoint went away")
+                return self
+
+        policies = trained_policies(monkeypatch)
+        acfg = AgentConfig(budget=2, k=3)
+        config = TrainConfig(iterations=2, samples_per_example=2, e_step_mode=mode,
+                             early_stop_patience=0, validation_metric="em")
+        params = TabularPolicyParams.uniform(len(world.relations), 2, 3)
+        with caplog.at_level("WARNING", logger="exsearch"):
+            reports, _ = em_train(questions[:4], FailsOnOneQuestion(params, world.relations),
+                                  retriever, config, acfg, seed=7,
+                                  val_examples=questions[4:])
+        assert [r.failures for r in reports] == [1, 1]
+        for i, (report, policy) in enumerate(zip(reports, policies)):
+            scores = [reference_validation(policy, [ex], retriever, acfg, "em", 7, i)
+                      if ex is not failing else 0.0 for ex in questions[4:]]
+            assert report.validation_score == float(np.mean(scores))
+        failed = [r.getMessage() for r in caplog.records if "episode failed" in r.getMessage()]
+        assert failed == [f"episode failed for validation:{failing.id} sample 0: "
+                          "endpoint went away"] * 2
+
+    def test_exact_training_is_unchanged_by_jobs(self, monkeypatch):
+        explored_with = []
+        original = training.explore
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(original).bind(*args, **kwargs)
+            explored_with.append(bound.arguments.get("jobs", 1))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(training, "explore", spy)
+        world, questions, retriever = chain_world(seed=3, n_questions=8)
+        config = TrainConfig(iterations=3, e_step_mode="exact-enumeration",
+                             early_stop_patience=0, validation_metric="em")
+        runs = []
+        for jobs in (1, 2):
+            reports, params = em_train(questions[:4], uniform_policy(world, 2, 3), retriever,
+                                       config, AgentConfig(budget=2, k=3), seed=7,
+                                       val_examples=questions[4:], jobs=jobs)
+            runs.append(([dataclasses.replace(r, wall_time=0.0) for r in reports], params))
+        assert explored_with == [1] * 3 + [2] * 3  # validation honours jobs
+        assert runs[1][0] == runs[0][0]
+        assert_params_close(runs[1][1], runs[0][1], atol=0)
